@@ -210,19 +210,29 @@ type expoValue struct {
 	value float64
 }
 
-// parseExpoValues extracts single-valued samples (counters and gauges; no
-// labels) from a Prometheus text exposition, sorted by value descending
-// then name, so "which counters dominate this run" reads off the top.
+// parseExpoValues extracts single-valued samples (counters, gauges, and
+// untyped samples; no labels) from a Prometheus text exposition, sorted by
+// value descending then name, so "which counters dominate this run" reads
+// off the top. The _sum and _count samples of summary and histogram
+// families are dropped: they are parts of a distribution, not counters, and
+// a busy latency sketch's observation count would otherwise top the table.
 func parseExpoValues(expo []byte) []expoValue {
 	var out []expoValue
+	types := map[string]string{}
 	sc := bufio.NewScanner(strings.NewReader(string(expo)))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if family, kind, ok := strings.Cut(rest, " "); ok {
+				types[family] = strings.TrimSpace(kind)
+			}
+			continue
+		}
 		if line == "" || strings.HasPrefix(line, "#") || strings.Contains(line, "{") {
 			continue
 		}
 		name, val, ok := strings.Cut(line, " ")
-		if !ok {
+		if !ok || distributionSample(types, name) {
 			continue
 		}
 		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
@@ -238,4 +248,20 @@ func parseExpoValues(expo []byte) []expoValue {
 		return out[i].name < out[j].name
 	})
 	return out
+}
+
+// distributionSample reports whether the sample name is the _sum or _count
+// series of a family declared as a summary or histogram (their other series
+// carry labels and are skipped before this check).
+func distributionSample(types map[string]string, name string) bool {
+	for _, suffix := range []string{"_sum", "_count"} {
+		family, ok := strings.CutSuffix(name, suffix)
+		if !ok {
+			continue
+		}
+		if kind := types[family]; kind == "summary" || kind == "histogram" {
+			return true
+		}
+	}
+	return false
 }

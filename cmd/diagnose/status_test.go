@@ -43,6 +43,10 @@ adiv_sched_tasks_done 137
 adiv_online_threshold 0.95
 adiv_corpus_build 1
 adiv_responses_stide_bucket{le="0.5"} 9
+# TYPE adiv_online_push_latency_stide summary
+adiv_online_push_latency_stide{quantile="0.5"} 3e-07
+adiv_online_push_latency_stide_sum 0.0015
+adiv_online_push_latency_stide_count 5000
 `))
 	})
 	return httptest.NewServer(mux)
@@ -83,6 +87,11 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if strings.Contains(out, "bucket") {
 		t.Errorf("labeled sample leaked into the counter table:\n%s", out)
+	}
+	// A summary's _sum and _count are parts of a distribution: the 5000
+	// observation count must not pose as the top counter.
+	if strings.Contains(out, "push_latency") {
+		t.Errorf("summary _sum/_count sample listed as a counter:\n%s", out)
 	}
 }
 

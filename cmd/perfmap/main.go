@@ -17,8 +17,8 @@
 //	                 per-cell evaluation timing) to F at exit
 //	-progress        emit NDJSON progress events to stderr during grid runs
 //	-status ADDR     serve live introspection on ADDR while the run is in
-//	                 flight: /metrics (Prometheus text, histograms and
-//	                 quantile-sketch summaries included), /runz (JSON grid
+//	                 flight: /metrics (Prometheus text; counters, gauges,
+//	                 and quantile-sketch summaries), /runz (JSON grid
 //	                 progress + ETA + sketch quantiles), /eventz (recent
 //	                 events), /alertz (alert-journal tail, with -alerts),
 //	                 /tracez (live span timeline stats), /healthz,

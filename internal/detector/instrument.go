@@ -7,10 +7,6 @@ import (
 	"adiv/internal/seq"
 )
 
-// responseBins is the bin count of the per-detector response-distribution
-// histogram, matching the profile resolution the sweep command renders.
-const responseBins = 10
-
 // Observed wraps a detector with run telemetry recorded into reg:
 //
 //   - span  train/<name>/dwNN          — per-training duration
@@ -19,12 +15,9 @@ const responseBins = 10
 //     (category "score", detector attribute) on its own async track
 //   - ctr   symbols/<name>             — symbols scored
 //   - gauge throughput_sps/<name>      — cumulative scoring throughput
-//   - hist  responses/<name>           — response distribution (10 bins,
-//     exact-extreme counts mirroring eval.Profile)
-//   - sketch score_latency/<name>      — per-Score-call latency quantiles
-//     (seconds)
-//   - sketch responses_q/<name>        — response quantiles at sketch
-//     resolution (the histogram's 10 bins cannot resolve a p99)
+//   - sketch responses_q/<name>        — response quantiles
+//
+// Spans record into the sketch of their name, in seconds.
 //
 // Training carries no trace span of its own: in grid runs the scheduler's
 // lane-stamped train task span covers the same interval with worker
@@ -44,11 +37,9 @@ func Observed(d Detector, reg *obs.Registry) Detector {
 		name:       name,
 		trainSpan:  fmt.Sprintf("train/%s/dw%02d", name, d.Window()),
 		scoreSpan:  "score/" + name,
-		score:      reg.Timing("score/" + name),
+		score:      reg.Sketch("score/" + name),
 		symbols:    reg.Counter("symbols/" + name),
 		throughput: reg.Gauge("throughput_sps/" + name),
-		responses:  reg.Histogram("responses/"+name, responseBins),
-		scoreLat:   reg.Sketch("score_latency/" + name),
 		responsesQ: reg.Sketch("responses_q/" + name),
 	}
 }
@@ -62,11 +53,9 @@ type observed struct {
 	name       string
 	trainSpan  string
 	scoreSpan  string
-	score      *obs.Timing
+	score      *obs.Sketch // the score/<name> span's sketch
 	symbols    *obs.Counter
 	throughput *obs.Gauge
-	responses  *obs.Histogram
-	scoreLat   *obs.Sketch
 	responsesQ *obs.Sketch
 }
 
@@ -95,15 +84,14 @@ func (o *observed) Score(test seq.Stream) ([]float64, error) {
 	sp := o.reg.SpanTraced(o.scoreSpan, "score")
 	sp.SetAttr("detector", o.name)
 	responses, err := o.Detector.Score(test)
-	o.scoreLat.Observe(sp.End().Seconds())
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	o.symbols.Add(int64(len(test)))
-	o.responses.ObserveAll(responses)
 	o.responsesQ.ObserveAll(responses)
-	if total := o.score.Total(); total > 0 {
-		o.throughput.Set(float64(o.symbols.Value()) / total.Seconds())
+	if total := o.score.Sum(); total > 0 {
+		o.throughput.Set(float64(o.symbols.Value()) / total)
 	}
 	return responses, nil
 }

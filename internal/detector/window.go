@@ -19,8 +19,8 @@ type WindowByteScorer interface {
 // unwrapping instrumentation layers (anything exposing Unwrap() Detector)
 // until a scorer or a bare detector is reached. Callers that unwrap this
 // way bypass the wrapper's per-Score telemetry by design — the streaming
-// adapter records its own online/* metrics instead, keeping spans and
-// histograms off the per-symbol hot path.
+// adapter records its own online/* metrics instead, keeping spans off the
+// per-symbol hot path.
 func AsWindowByteScorer(d Detector) (WindowByteScorer, bool) {
 	for d != nil {
 		if ws, ok := d.(WindowByteScorer); ok {

@@ -170,7 +170,7 @@ func BuildMapObserved(name string, factory Factory, train seq.Stream, placements
 // instead of rebuilding it; others fall back to Train on the corpus's
 // stream). Each detector is wrapped with detector.Observed (per-window
 // training durations, scoring throughput, response distribution), every
-// grid cell records its evaluation timing under cell/<name>, and
+// grid cell records its evaluation duration in the cell/<name> sketch, and
 // cell-completion progress events carry a running cells/sec rate — the
 // visibility a multi-minute grid run otherwise lacks. Row failures are
 // aggregated: a multi-row failure reports every failing window, not just
@@ -245,7 +245,7 @@ func BuildMapCorpus(name string, factory Factory, tc *seq.Corpus, placements map
 	tr := reg.Tracer()
 	mapSpan := reg.SpanTraced("map/"+name, "map")
 	mapSpan.SetAttr("detector", name)
-	cellTiming := reg.Timing("cell/" + name)
+	cellSketch := reg.Sketch("cell/" + name)
 	cellCounter := reg.Counter("eval/cells/" + name)
 	retryCounter := reg.Counter("ckpt/cells_retried")
 	var done atomic.Int64
@@ -341,7 +341,7 @@ func BuildMapCorpus(name string, factory Factory, tc *seq.Corpus, placements map
 				)
 				if c.replay {
 					// Replayed cells are trace-only (category "replay"):
-					// they must stay out of the cell/<name> Timing so the
+					// they must stay out of the cell/<name> sketch so the
 					// cells-per-busy-second rate keeps measuring real work.
 					var rsp *obs.TraceSpan
 					if tr != nil {
@@ -368,10 +368,6 @@ func BuildMapCorpus(name string, factory Factory, tc *seq.Corpus, placements map
 							var aerr error
 							a, aerr = Assess(det, placement, opts)
 							cellMs = float64(cellSpan.End().Nanoseconds()) / 1e6
-							// Live cells only: replays complete in
-							// microseconds and would collapse the latency
-							// quantiles.
-							reg.Sketch("cell_latency/" + name).Observe(cellMs / 1e3)
 							return aerr
 						})
 						if err == nil {
@@ -423,12 +419,11 @@ func BuildMapCorpus(name string, factory Factory, tc *seq.Corpus, placements map
 				n := done.Add(1)
 				if reg != nil {
 					var rate float64
-					_, total, _, _ := cellTiming.Stats()
-					if total > 0 {
+					if total := cellSketch.Sum(); total > 0 {
 						// Cells run concurrently across rows, so the sum of
 						// per-cell durations overstates wall time; the rate
 						// is per core-busy second, a stable progress signal.
-						rate = float64(n) / total.Seconds()
+						rate = float64(n) / total
 					}
 					reg.Event("cell", obs.Fields{
 						"detector":        name,

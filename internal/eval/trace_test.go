@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -78,6 +79,17 @@ func TestBuildMapCorpusTraces(t *testing.T) {
 			t.Errorf("cell span missing size attr: %v", ev.Attrs)
 		}
 	}
+	// One distribution per quantity: each live cell's duration lands in the
+	// cell/<name> span sketch, and no cell_latency/ twin exists beside it.
+	snaps := reg.SketchSnapshots()
+	if got := snaps["cell/fake"].Count; got != cells {
+		t.Errorf("cell/fake sketch count = %d, want %d", got, cells)
+	}
+	for name := range snaps {
+		if strings.HasPrefix(name, "cell_latency/") {
+			t.Errorf("duplicate cell-latency distribution %q", name)
+		}
+	}
 	if got := reg.Counter("trace/spans").Value(); got == 0 {
 		t.Error("trace/spans counter never incremented")
 	}
@@ -88,7 +100,7 @@ func TestBuildMapCorpusTraces(t *testing.T) {
 
 // TestBuildMapResumeTracesReplay pins the replay category: on a fully
 // journaled resume every cell appears on the timeline as a "replay" span —
-// and stays OUT of the cell/<name> Timing, whose rate must keep measuring
+// and stays OUT of the cell/<name> sketch, whose rate must keep measuring
 // real evaluation work only.
 func TestBuildMapResumeTracesReplay(t *testing.T) {
 	dir := t.TempDir()
@@ -134,8 +146,8 @@ func TestBuildMapResumeTracesReplay(t *testing.T) {
 	if replays != 21 || lives != 0 {
 		t.Errorf("replay/cell spans = %d/%d, want 21/0 on a fully journaled resume", replays, lives)
 	}
-	if count, _, _, _ := reg.Timing("cell/fake").Stats(); count != 0 {
-		t.Errorf("cell/fake Timing recorded %d replays; replays must be trace-only", count)
+	if count := reg.Sketch("cell/fake").Count(); count != 0 {
+		t.Errorf("cell/fake sketch recorded %d replays; replays must be trace-only", count)
 	}
 }
 

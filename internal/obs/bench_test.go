@@ -3,7 +3,6 @@ package obs
 import (
 	"io"
 	"testing"
-	"time"
 )
 
 // The disabled (nil-registry) path must cost nothing measurable: these
@@ -27,25 +26,6 @@ func BenchmarkCounterEnabled(b *testing.B) {
 	}
 }
 
-func BenchmarkHistogramObserveAllDisabled(b *testing.B) {
-	var r *Registry
-	h := r.Histogram("x", 10)
-	vs := make([]float64, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.ObserveAll(vs)
-	}
-}
-
-func BenchmarkHistogramObserveAllEnabled(b *testing.B) {
-	h := New().Histogram("x", 10)
-	vs := make([]float64, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.ObserveAll(vs)
-	}
-}
-
 func BenchmarkSpanDisabled(b *testing.B) {
 	var r *Registry
 	b.ReportAllocs()
@@ -59,14 +39,6 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Span("x").End()
-	}
-}
-
-func BenchmarkTimingRecord(b *testing.B) {
-	tm := New().Timing("x")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tm.Record(time.Microsecond)
 	}
 }
 
@@ -117,21 +89,6 @@ func BenchmarkSketchObservePerElement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, v := range vs {
 			s.Observe(v)
-		}
-	}
-}
-
-// BenchmarkHistogramObservePerElement is the per-element counterpart of
-// BenchmarkHistogramObserveAllEnabled: the pairing documents what the
-// batch-lock ObserveAll API saves on the instrumented-Score path (one lock
-// acquisition per response vs one per batch).
-func BenchmarkHistogramObservePerElement(b *testing.B) {
-	h := New().Histogram("x", 10)
-	vs := make([]float64, 1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, v := range vs {
-			h.Observe(v)
 		}
 	}
 }

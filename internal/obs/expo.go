@@ -15,11 +15,10 @@ import (
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WriteProm renders the registry's current state in Prometheus text
-// exposition format v0.0.4: counters and gauges as single samples,
-// histograms as cumulative le-labeled buckets with _sum and _count,
-// quantile sketches as summaries with quantile-labeled p50/p90/p99 samples,
-// and accumulated timings as summaries (_sum in seconds, _count). Metric names
-// are the registry names prefixed with "adiv_" and sanitized to the
+// exposition format v0.0.4: counters and gauges as single samples, and
+// quantile sketches — span durations in seconds among them — as summaries
+// with quantile-labeled p50/p90/p99 samples plus _sum and _count. Metric
+// names are the registry names prefixed with "adiv_" and sanitized to the
 // Prometheus grammar ("cell/stide" becomes "adiv_cell_stide"); within each
 // family names render in sorted order, so the exposition is byte-stable for
 // a given registry state and clock. A nil registry renders only the uptime
@@ -43,23 +42,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		pn := promName(name)
 		fmt.Fprintf(&buf, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(s.Gauges[name]))
 	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		pn := promName(name)
-		fmt.Fprintf(&buf, "# TYPE %s histogram\n", pn)
-		// The registry's fixed-bin histograms cover [0,1]; bin i holds
-		// observations below (i+1)/bins, so the cumulative bucket bounds
-		// are the bin upper edges. Out-of-range observations clamp into
-		// the edge bins, so +Inf equals the total count.
-		cum := int64(0)
-		for i, c := range h.Bins {
-			cum += c
-			fmt.Fprintf(&buf, "%s_bucket{le=%q} %d\n", pn, promFloat(float64(i+1)/float64(len(h.Bins))), cum)
-		}
-		fmt.Fprintf(&buf, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count)
-		fmt.Fprintf(&buf, "%s_sum %s\n", pn, promFloat(h.Sum))
-		fmt.Fprintf(&buf, "%s_count %d\n", pn, h.Count)
-	}
 	for _, name := range sortedKeys(s.Sketches) {
 		sk := s.Sketches[name]
 		pn := promName(name)
@@ -69,13 +51,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		fmt.Fprintf(&buf, "%s{quantile=\"0.99\"} %s\n", pn, promFloat(sk.P99))
 		fmt.Fprintf(&buf, "%s_sum %s\n", pn, promFloat(sk.Sum))
 		fmt.Fprintf(&buf, "%s_count %d\n", pn, sk.Count)
-	}
-	for _, name := range sortedKeys(s.Spans) {
-		t := s.Spans[name]
-		pn := promName(name) + "_seconds"
-		fmt.Fprintf(&buf, "# TYPE %s summary\n", pn)
-		fmt.Fprintf(&buf, "%s_sum %s\n", pn, promFloat(t.TotalMs/1e3))
-		fmt.Fprintf(&buf, "%s_count %d\n", pn, t.Count)
 	}
 	_, err := w.Write(buf.Bytes())
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // seededRegistry builds the fixed registry state behind the exposition
-// golden: a deterministic clock, one counter, one gauge, one histogram, and
-// one timing.
+// golden: a deterministic clock, one counter, one gauge, one response
+// sketch, and two span durations.
 func seededRegistry() *Registry {
 	r := New()
 	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
@@ -25,15 +25,9 @@ func seededRegistry() *Registry {
 	})
 	r.Counter("eval/cells/stide").Add(112)
 	r.Gauge("online/threshold").Set(0.95)
-	h := r.Histogram("responses/stide", 4)
-	for _, v := range []float64{0, 0.1, 0.3, 0.3, 0.8, 1, 1} {
-		h.Observe(v)
-	}
-	r.Timing("cell/stide").Record(1500 * time.Millisecond)
-	r.Timing("cell/stide").Record(500 * time.Millisecond)
-	sk := r.Sketch("score_latency/stide")
-	for _, v := range []float64{0.001, 0.002, 0.002, 0.004, 0.050} {
-		sk.Observe(v)
+	r.Sketch("responses_q/stide").ObserveAll([]float64{0, 0.1, 0.3, 0.3, 0.8, 1, 1})
+	for range 2 {
+		r.Span("cell/stide").End()
 	}
 	return r
 }
@@ -69,34 +63,6 @@ func TestWritePromNilRegistry(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "adiv_uptime_seconds 0") {
 		t.Errorf("nil-registry exposition = %q", buf.String())
-	}
-}
-
-func TestPromHistogramCumulative(t *testing.T) {
-	var buf bytes.Buffer
-	if err := seededRegistry().WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	// 7 observations into 4 bins over [0,1]: {0, 0.1} land in bin 0,
-	// {0.3, 0.3} in bin 1, and {0.8, 1, 1} in bin 3 (1.0 clamps to the last
-	// bin). Buckets must be cumulative and +Inf must equal the count.
-	for _, want := range []string{
-		`adiv_responses_stide_bucket{le="0.25"} 2`,
-		`adiv_responses_stide_bucket{le="0.5"} 4`,
-		`adiv_responses_stide_bucket{le="0.75"} 4`,
-		`adiv_responses_stide_bucket{le="1"} 7`,
-		`adiv_responses_stide_bucket{le="+Inf"} 7`,
-		`adiv_responses_stide_count 7`,
-		`# TYPE adiv_eval_cells_stide counter`,
-		`adiv_eval_cells_stide 112`,
-		`adiv_online_threshold 0.95`,
-		`adiv_cell_stide_seconds_sum 2`,
-		`adiv_cell_stide_seconds_count 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -1,18 +1,18 @@
 // Package obs is the repository's dependency-free observability layer: a
-// metrics registry (counters, gauges, fixed-bin histograms over [0,1],
-// fixed-memory quantile sketches), nestable timing spans, a structured
-// NDJSON event log, an append-only alert journal, and detector-health
-// watchdog rules. The long batch
-// runs that produce the paper's performance maps — corpus synthesis, dozens
-// of detector trainings, the 8×14 evaluation grid — report where time goes
-// and whether they are making progress through this package, and every run
-// can emit a machine-readable metrics snapshot for benchmark-trajectory
-// tracking.
+// metrics registry (counters, gauges, and fixed-memory quantile sketches —
+// the one distribution type, which also holds every timing span's
+// durations in seconds), nestable timing spans, a structured NDJSON event
+// log, an append-only alert journal, and detector-health watchdog rules.
+// The long batch runs that produce the paper's performance maps — corpus
+// synthesis, dozens of detector trainings, the 8×14 evaluation grid —
+// report where time goes and whether they are making progress through this
+// package, and every run can emit a machine-readable metrics snapshot for
+// benchmark-trajectory tracking.
 //
 // # Disabled path
 //
 // Every entry point is nil-safe: all methods on a nil *Registry, *Counter,
-// *Gauge, *Histogram, *Timing, *Span, and *EventLog are no-ops, so
+// *Gauge, *Sketch, *Span, and *EventLog are no-ops, so
 // instrumented code paths carry a single pointer test and no allocation
 // when observability is off. Instrumentation holds typed handles (obtained
 // once from the registry) rather than doing name lookups on hot paths.
@@ -31,8 +31,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	timings  map[string]*Timing
 	sketches map[string]*Sketch
 	events   *EventLog
 	tracer   *Tracer
@@ -46,8 +44,6 @@ func New() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		timings:  make(map[string]*Timing),
 		sketches: make(map[string]*Sketch),
 		now:      time.Now,
 	}
@@ -153,31 +149,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named fixed-bin histogram over [0,1], creating it
-// with the given bin count on first use (at least 2; later calls reuse the
-// existing histogram regardless of bins).
-func (r *Registry) Histogram(name string, bins int) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if bins < 2 {
-		bins = 2
-	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{bins: make([]int64, bins)}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // counterValue reads the named counter without creating it — the watchdog's
 // read-only view: a rule watching a counter its subsystem never registered
 // must stay dormant, not conjure the counter into every snapshot.
@@ -192,26 +163,6 @@ func (r *Registry) counterValue(name string) (value int64, exists bool) {
 		return 0, false
 	}
 	return c.Value(), true
-}
-
-// Timing returns the named duration accumulator, creating it on first use.
-func (r *Registry) Timing(name string) *Timing {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	t := r.timings[name]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.timings[name]; t == nil {
-		t = &Timing{}
-		r.timings[name] = t
-	}
-	return t
 }
 
 // Counter is a monotonically increasing integer metric. Safe for
@@ -261,142 +212,4 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram counts observations into fixed equal-width bins over [0,1],
-// mirroring eval.Profile semantics: an observation v lands in bin
-// int(v*bins) clamped to [0, bins-1], so 0.0 lands in the first bin and
-// 1.0 in the last; exact-extreme observations are additionally tallied in
-// AtZero/AtOne (the counts the blind/capable classification keys on).
-// Out-of-range observations clamp to the edge bins.
-type Histogram struct {
-	mu     sync.Mutex
-	bins   []int64
-	count  int64
-	sum    float64
-	atZero int64
-	atOne  int64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.observeLocked(v)
-	h.mu.Unlock()
-}
-
-// ObserveAll records a batch of values under one lock — the per-response
-// telemetry path of an instrumented Score call.
-func (h *Histogram) ObserveAll(vs []float64) {
-	if h == nil || len(vs) == 0 {
-		return
-	}
-	h.mu.Lock()
-	for _, v := range vs {
-		h.observeLocked(v)
-	}
-	h.mu.Unlock()
-}
-
-func (h *Histogram) observeLocked(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	switch {
-	case v <= 0:
-		h.atZero++
-	case v >= 1:
-		h.atOne++
-	}
-	idx := int(v * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-	h.count++
-	h.sum += v
-}
-
-// Counts returns a copy of the per-bin counts (nil on a nil receiver).
-func (h *Histogram) Counts() []int64 {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int64, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Extremes returns the exact counts of observations at 0 and at 1.
-func (h *Histogram) Extremes() (atZero, atOne int64) {
-	if h == nil {
-		return 0, 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.atZero, h.atOne
-}
-
-// Timing accumulates durations recorded under one name: count, total, and
-// the min/max extremes. Safe for concurrent use; no-op on a nil receiver.
-type Timing struct {
-	mu    sync.Mutex
-	count int64
-	total time.Duration
-	min   time.Duration
-	max   time.Duration
-}
-
-// Record adds one duration (negative durations clamp to zero).
-func (t *Timing) Record(d time.Duration) {
-	if t == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.total += d
-}
-
-// Stats returns the accumulated count, total, min, and max.
-func (t *Timing) Stats() (count int64, total, min, max time.Duration) {
-	if t == nil {
-		return 0, 0, 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count, t.total, t.min, t.max
-}
-
-// Total returns the accumulated total duration.
-func (t *Timing) Total() time.Duration {
-	_, total, _, _ := t.Stats()
-	return total
 }

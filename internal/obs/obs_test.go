@@ -74,47 +74,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramEdgeBins pins the bin placement of the exact extremes,
-// mirroring eval.Profile semantics: 0.0 lands in the first bin and 1.0 in
-// the last, with both tallied in the AtZero/AtOne exact counts.
-func TestHistogramEdgeBins(t *testing.T) {
-	r := New()
-	h := r.Histogram("resp", 10)
-	h.Observe(0.0)
-	h.Observe(1.0)
-	h.Observe(0.05) // interior of the first bin
-	h.Observe(0.95) // interior of the last bin
-	h.Observe(0.5)
-
-	bins := h.Counts()
-	if len(bins) != 10 {
-		t.Fatalf("bins = %d, want 10", len(bins))
-	}
-	if bins[0] != 2 {
-		t.Errorf("first bin = %d, want 2 (0.0 and 0.05)", bins[0])
-	}
-	if bins[9] != 2 {
-		t.Errorf("last bin = %d, want 2 (1.0 and 0.95)", bins[9])
-	}
-	if bins[5] != 1 {
-		t.Errorf("bin 5 = %d, want 1 (0.5)", bins[5])
-	}
-	atZero, atOne := h.Extremes()
-	if atZero != 1 || atOne != 1 {
-		t.Errorf("extremes = (%d, %d), want (1, 1)", atZero, atOne)
-	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d, want 5", h.Count())
-	}
-
-	// Out-of-range observations clamp to the edge bins.
-	h.ObserveAll([]float64{-0.5, 1.5})
-	bins = h.Counts()
-	if bins[0] != 3 || bins[9] != 3 {
-		t.Errorf("after clamped observations bins = %v, want edges 3/3", bins)
-	}
-}
-
 func TestSpanNesting(t *testing.T) {
 	r := New()
 	clock := newFakeClock(10 * time.Millisecond)
@@ -131,21 +90,8 @@ func TestSpanNesting(t *testing.T) {
 	if d := outer.End(); d != 30*time.Millisecond {
 		t.Errorf("outer duration = %v, want 30ms", d)
 	}
-	count, total, _, _ := r.Timing("corpus/build").Stats()
-	if count != 1 || total != 30*time.Millisecond {
-		t.Errorf("outer timing = (%d, %v)", count, total)
-	}
-}
-
-func TestTimingStats(t *testing.T) {
-	r := New()
-	tm := r.Timing("x")
-	tm.Record(5 * time.Millisecond)
-	tm.Record(15 * time.Millisecond)
-	tm.Record(-time.Second) // clamps to zero
-	count, total, min, max := tm.Stats()
-	if count != 3 || total != 20*time.Millisecond || min != 0 || max != 15*time.Millisecond {
-		t.Errorf("timing stats = (%d, %v, %v, %v)", count, total, min, max)
+	if sk := r.Sketch("corpus/build"); sk.Count() != 1 || sk.Sum() != 0.03 {
+		t.Errorf("outer span sketch = (%d, %vs), want (1, 0.03s)", sk.Count(), sk.Sum())
 	}
 }
 
@@ -190,14 +136,6 @@ func TestNilSafety(t *testing.T) {
 	if r.Gauge("g").Value() != 0 {
 		t.Errorf("nil gauge has a value")
 	}
-	h := r.Histogram("h", 10)
-	h.Observe(0.5)
-	h.ObserveAll([]float64{0.1})
-	if h.Count() != 0 || h.Counts() != nil {
-		t.Errorf("nil histogram recorded")
-	}
-	r.Timing("t").Record(time.Second)
-	r.RecordDuration("t", time.Second)
 	sp := r.Span("s")
 	if sp.Child("x").End() != 0 || sp.End() != 0 || sp.Name() != "" {
 		t.Errorf("nil span recorded")
@@ -216,8 +154,9 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestSpanEndIdempotent is the regression test for the double-record bug:
-// End used to record the elapsed duration into the Timing on every call, so
-// a defer sp.End() after an explicit End() double-counted the region.
+// End used to record the elapsed duration on every call, so a defer
+// sp.End() after an explicit End() double-counted the region. The span's
+// sketch must hold exactly one observation of the elapsed seconds.
 func TestSpanEndIdempotent(t *testing.T) {
 	r := New()
 	clock := newFakeClock(10 * time.Millisecond)
@@ -230,8 +169,7 @@ func TestSpanEndIdempotent(t *testing.T) {
 	if d := sp.End(); d != 0 {
 		t.Errorf("second End = %v, want 0 (no-op)", d)
 	}
-	count, total, _, _ := r.Timing("cell/stide").Stats()
-	if count != 1 || total != 10*time.Millisecond {
-		t.Errorf("timing after double End = (%d, %v), want (1, 10ms)", count, total)
+	if sk := r.Sketch("cell/stide"); sk.Count() != 1 || sk.Sum() != 0.01 {
+		t.Errorf("span sketch after double End = (%d, %vs), want (1, 0.01s)", sk.Count(), sk.Sum())
 	}
 }

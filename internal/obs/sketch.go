@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// Quantile sketch: a fixed-memory streaming estimator for the latency and
-// response distributions the fixed-bin Histogram cannot hold. The Histogram
-// covers [0,1] (detector responses); latencies are unbounded and span seven
-// orders of magnitude between a 300 ns streaming push and a 10 s neural-net
-// training, so the sketch buckets values on a geometric grid instead
+// Quantile sketch: the registry's one distribution type, a fixed-memory
+// streaming estimator for span durations, latencies, and detector
+// responses alike. Durations are unbounded and span seven orders of
+// magnitude between a 300 ns streaming push and a 10 s neural-net
+// training, so the sketch buckets values on a geometric grid
 // (DDSketch-style relative-error compression): bucket i covers
 // (minValue·γ^(i-1), minValue·γ^i] with γ = (1+α)/(1-α), so any quantile
 // estimate is within relative error α of a true sample value. Memory is
@@ -150,6 +150,18 @@ func (s *Sketch) Count() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.count
+}
+
+// Sum returns the running total of the observations (0 on a nil receiver).
+// It takes only the lock, so per-call rates can read it without the bucket
+// walk Stats performs.
+func (s *Sketch) Sum() float64 {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sum
 }
 
 // Quantile returns the estimated q-quantile (q clamped to [0,1]) of the

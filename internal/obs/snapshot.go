@@ -11,52 +11,31 @@ import (
 // SchemaVersion identifies the snapshot JSON schema. Downstream tooling
 // (benchmark-trajectory tracking, dashboards) keys on it; field names and
 // ordering are pinned by a golden test and must only change with a version
-// bump. v2 added the sketches section (streaming quantile estimates).
-const SchemaVersion = "adiv.obs/v2"
+// bump. v2 added the sketches section (streaming quantile estimates); v3
+// removed the histograms and spans sections: every distribution, span
+// durations included (in seconds), is a sketch.
+const SchemaVersion = "adiv.obs/v3"
 
 // Snapshot is the machine-readable state of a registry at one instant.
 // encoding/json emits map keys in sorted order, so the serialized form is
 // deterministic for a given registry state.
 type Snapshot struct {
-	Schema     string                    `json:"schema"`
-	StartedAt  string                    `json:"startedAt"`
-	UptimeMs   float64                   `json:"uptimeMs"`
-	Counters   map[string]int64          `json:"counters"`
-	Gauges     map[string]float64        `json:"gauges"`
-	Histograms map[string]HistogramStats `json:"histograms"`
-	Sketches   map[string]SketchStats    `json:"sketches"`
-	Spans      map[string]SpanStats      `json:"spans"`
-}
-
-// HistogramStats is the serialized form of one Histogram.
-type HistogramStats struct {
-	Count  int64   `json:"count"`
-	Sum    float64 `json:"sum"`
-	Mean   float64 `json:"mean"`
-	AtZero int64   `json:"atZero"`
-	AtOne  int64   `json:"atOne"`
-	Bins   []int64 `json:"bins"`
-}
-
-// SpanStats is the serialized form of one Timing (accumulated spans).
-type SpanStats struct {
-	Count   int64   `json:"count"`
-	TotalMs float64 `json:"totalMs"`
-	MeanMs  float64 `json:"meanMs"`
-	MinMs   float64 `json:"minMs"`
-	MaxMs   float64 `json:"maxMs"`
+	Schema    string                 `json:"schema"`
+	StartedAt string                 `json:"startedAt"`
+	UptimeMs  float64                `json:"uptimeMs"`
+	Counters  map[string]int64       `json:"counters"`
+	Gauges    map[string]float64     `json:"gauges"`
+	Sketches  map[string]SketchStats `json:"sketches"`
 }
 
 // Snapshot captures the registry's current state. A nil registry yields an
 // empty (but schema-tagged) snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Schema:     SchemaVersion,
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistogramStats{},
-		Sketches:   map[string]SketchStats{},
-		Spans:      map[string]SpanStats{},
+		Schema:   SchemaVersion,
+		Counters: map[string]int64{},
+		Gauges:   map[string]float64{},
+		Sketches: map[string]SketchStats{},
 	}
 	if r == nil {
 		return s
@@ -71,18 +50,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	timings := make(map[string]*Timing, len(r.timings))
-	for k, v := range r.timings {
-		timings[k] = v
-	}
-	sketches := make(map[string]*Sketch, len(r.sketches))
-	for k, v := range r.sketches {
-		sketches[k] = v
-	}
 	r.mu.RUnlock()
 
 	s.StartedAt = start.UTC().Format(time.RFC3339Nano)
@@ -93,36 +60,8 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, h := range hists {
-		h.mu.Lock()
-		hs := HistogramStats{
-			Count:  h.count,
-			Sum:    h.sum,
-			AtZero: h.atZero,
-			AtOne:  h.atOne,
-			Bins:   append([]int64(nil), h.bins...),
-		}
-		h.mu.Unlock()
-		if hs.Count > 0 {
-			hs.Mean = hs.Sum / float64(hs.Count)
-		}
-		s.Histograms[name] = hs
-	}
-	for name, sk := range sketches {
-		s.Sketches[name] = sk.Stats()
-	}
-	for name, t := range timings {
-		count, total, min, max := t.Stats()
-		ss := SpanStats{
-			Count:   count,
-			TotalMs: durationMs(total),
-			MinMs:   durationMs(min),
-			MaxMs:   durationMs(max),
-		}
-		if count > 0 {
-			ss.MeanMs = ss.TotalMs / float64(count)
-		}
-		s.Spans[name] = ss
+	for name, st := range r.SketchSnapshots() {
+		s.Sketches[name] = st
 	}
 	return s
 }

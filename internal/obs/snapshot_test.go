@@ -17,12 +17,11 @@ func buildGoldenRegistry() *Registry {
 	r.Counter("gen/symbols").Add(120000)
 	r.Counter("eval/cells/stide").Add(112)
 	r.Gauge("eval/throughput_sps/stide").Set(250000)
-	h := r.Histogram("detector/responses/stide", 10)
-	h.ObserveAll([]float64{0, 0, 0.5, 1})
+	r.Sketch("responses_q/stide").ObserveAll([]float64{0, 0, 0.5, 1})
 	sp := r.Span("corpus/build")
 	sp.Child("train").End()
 	sp.End()
-	r.RecordDuration("train/stide/dw02", 25*time.Millisecond)
+	r.Span("train/stide/dw02").End()
 	r.Sketch("online/push_latency/stide").ObserveAll([]float64{1e-7, 2e-7, 2e-7, 4e-7})
 	return r
 }
@@ -65,19 +64,14 @@ func TestSnapshotValues(t *testing.T) {
 	if s.Counters["gen/symbols"] != 120000 {
 		t.Errorf("counter = %d", s.Counters["gen/symbols"])
 	}
-	hs := s.Histograms["detector/responses/stide"]
-	if hs.Count != 4 || hs.AtZero != 2 || hs.AtOne != 1 {
-		t.Errorf("histogram stats = %+v", hs)
+	if rs := s.Sketches["responses_q/stide"]; rs.Count != 4 || rs.Min != 0 || rs.Max != 1 || rs.Sum != 1.5 {
+		t.Errorf("response sketch = %+v", rs)
 	}
-	if hs.Mean != hs.Sum/4 {
-		t.Errorf("mean = %v, sum = %v", hs.Mean, hs.Sum)
+	if ss := s.Sketches["train/stide/dw02"]; ss.Count != 1 || ss.Sum != 0.01 || ss.P50 != 0.01 {
+		t.Errorf("span sketch = %+v, want one 10ms observation in seconds", ss)
 	}
-	ss := s.Spans["train/stide/dw02"]
-	if ss.Count != 1 || ss.TotalMs != 25 || ss.MeanMs != 25 {
-		t.Errorf("span stats = %+v", ss)
-	}
-	if s.Spans["corpus/build/train"].Count != 1 {
-		t.Errorf("nested span missing: %+v", s.Spans)
+	if s.Sketches["corpus/build/train"].Count != 1 {
+		t.Errorf("nested span missing: %+v", s.Sketches)
 	}
 }
 

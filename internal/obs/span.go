@@ -4,8 +4,8 @@ import "time"
 
 // Span is one timed region of a run. Spans are nestable: a child span's
 // name is the parent's name plus "/child", so the snapshot reads as a flat
-// call tree ("corpus/build", "corpus/build/train", ...). End records the
-// elapsed duration into the registry's Timing of the same name exactly
+// call tree ("corpus/build", "corpus/build/train", ...). End observes the
+// elapsed seconds into the registry's Sketch of the same name exactly
 // once — later End calls are no-ops. Spans are not reusable; nil spans
 // (from a nil registry) are no-ops throughout.
 type Span struct {
@@ -27,7 +27,7 @@ func (r *Registry) Span(name string) *Span {
 	return &Span{reg: r, name: name, start: now()}
 }
 
-// SpanTraced is Span's traced variant: alongside the aggregate Timing it
+// SpanTraced is Span's traced variant: alongside the aggregate sketch it
 // records one SpanEvent (with the given category) into the registry's
 // attached tracer, so upgrading a call site is a one-line change. With no
 // tracer attached — or on a nil registry — it reduces exactly to Span, so
@@ -96,10 +96,10 @@ func (s *Span) Trace() *TraceSpan {
 	return s.trace
 }
 
-// End records the span's elapsed duration into the registry (and, when
-// traced, the tracer ring) and returns it. Only the first call records:
-// calling End twice used to double-count the duration in the Timing, so
-// later calls are no-ops returning 0.
+// End observes the span's elapsed seconds into the registry's sketch of
+// the span's name (and, when traced, records into the tracer ring) and
+// returns the duration. Only the first call records: calling End twice
+// used to double-count the region, so later calls are no-ops returning 0.
 func (s *Span) End() time.Duration {
 	if s == nil || s.ended {
 		return 0
@@ -110,14 +110,6 @@ func (s *Span) End() time.Duration {
 	now := s.reg.now
 	s.reg.mu.RUnlock()
 	d := now().Sub(s.start)
-	s.reg.Timing(s.name).Record(d)
+	s.reg.Sketch(s.name).Observe(d.Seconds())
 	return d
-}
-
-// RecordDuration records an externally measured duration under name.
-func (r *Registry) RecordDuration(name string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.Timing(name).Record(d)
 }

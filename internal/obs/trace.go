@@ -7,15 +7,15 @@ import (
 	"time"
 )
 
-// Execution tracing: where the Timing registry answers "how much time did
-// name X accumulate", the Tracer answers "what happened when" — every traced
+// Execution tracing: where the registry's span sketches answer "how much
+// time did name X accumulate", the Tracer answers "what happened when" — every traced
 // region becomes one SpanEvent with monotonic start/end timestamps, a
 // span/parent ID pair, a category, an optional worker lane, and key=value
 // attributes, recorded into a bounded ring. The ring is exported as Chrome
 // trace_event JSON (Perfetto / chrome://tracing), served live as /tracez,
 // and mined by `diagnose -trace` for critical-path and occupancy analysis.
 //
-// Tracing is opt-in and layered alongside the aggregate Timings: a Registry
+// Tracing is opt-in and layered alongside the aggregate sketches: a Registry
 // with no tracer attached keeps the exact pre-trace behavior, and a nil
 // *Tracer (like every other handle in this package) is a no-op costing a
 // pointer test and zero allocations.
@@ -63,7 +63,7 @@ type SpanEvent struct {
 	// the enclosing span, 0 for roots.
 	ID     uint64
 	Parent uint64
-	// Name is the span name, matching the Timing name at upgraded call
+	// Name is the span name, matching the sketch name at upgraded call
 	// sites ("cell/stide", "corpus/build/train").
 	Name string
 	// Cat is the span category ("cell", "train", "replay", "corpus", ...);

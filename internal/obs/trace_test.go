@@ -302,10 +302,10 @@ func TestRegistrySpanTraced(t *testing.T) {
 	if spans[1].Lane != 2 {
 		t.Errorf("lane = %d, want 2", spans[1].Lane)
 	}
-	// The Timing side recorded under both names too.
+	// The span sketches recorded under both names too.
 	snap := reg.Snapshot()
-	if len(snap.Spans) != 2 {
-		t.Errorf("timings = %+v, want cell/stide and cell/stide/score", snap.Spans)
+	if len(snap.Sketches) != 2 {
+		t.Errorf("span sketches = %+v, want cell/stide and cell/stide/score", snap.Sketches)
 	}
 
 	reg.SetTracer(nil)

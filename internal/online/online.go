@@ -22,10 +22,6 @@ import (
 	"adiv/internal/seq"
 )
 
-// responseBins is the resolution of the streaming response-distribution
-// histogram, matching the batch profile resolution.
-const responseBins = 10
-
 // responseRingLen is the capacity of the scorer's recent-response ring:
 // enough context for a corroboration window or a status probe, small
 // enough to live inline in the Scorer.
@@ -58,7 +54,6 @@ type Scorer struct {
 	// Telemetry handles; nil when uninstrumented (the default), costing a
 	// single pointer test per push.
 	symbols       *obs.Counter
-	responses     *obs.Histogram
 	lastResponse  *obs.Gauge
 	pushLatency   *obs.Sketch  // per-push wall latency, seconds
 	responsesQ    *obs.Sketch  // per-family response quantiles
@@ -66,10 +61,9 @@ type Scorer struct {
 }
 
 // Instrument records streaming telemetry into reg: the online/symbols
-// pushed counter, the online/responses distribution histogram, the
-// online/last_response live gauge (what a /metrics scrape of a long-lived
-// streaming deployment reads as "the detector's current output"), and the
-// per-family detection-quality sketches — online/push_latency/<family>
+// pushed counter, the online/last_response live gauge (what a /metrics
+// scrape of a long-lived streaming deployment reads as "the detector's
+// current output"), and the per-family detection-quality sketches — online/push_latency/<family>
 // (per-push wall latency in seconds) and online/responses_q/<family>
 // (response quantiles) — plus the online/responses/<family> counter the
 // silent-detector watchdog rule watches. A nil registry disables
@@ -77,13 +71,12 @@ type Scorer struct {
 // steady-state push contract.
 func (s *Scorer) Instrument(reg *obs.Registry) {
 	if reg == nil {
-		s.symbols, s.responses, s.lastResponse = nil, nil, nil
+		s.symbols, s.lastResponse = nil, nil
 		s.pushLatency, s.responsesQ, s.responseCount = nil, nil, nil
 		return
 	}
 	family := s.det.Name()
 	s.symbols = reg.Counter("online/symbols")
-	s.responses = reg.Histogram("online/responses", responseBins)
 	s.lastResponse = reg.Gauge("online/last_response")
 	s.pushLatency = reg.Sketch("online/push_latency/" + family)
 	s.responsesQ = reg.Sketch("online/responses_q/" + family)
@@ -140,8 +133,7 @@ func (s *Scorer) Reset() {
 func (s *Scorer) record(r float64) {
 	s.ring[s.ringN%responseRingLen] = r
 	s.ringN++
-	if s.responses != nil {
-		s.responses.Observe(r)
+	if s.responsesQ != nil {
 		s.lastResponse.Set(r)
 		s.responsesQ.Observe(r)
 		s.responseCount.Inc()

@@ -188,6 +188,15 @@ func TestScorerFamilyTelemetry(t *testing.T) {
 	if got := reg.Counter("online/responses/stide").Value(); got != 9 {
 		t.Errorf("online/responses/stide = %d, want 9", got)
 	}
+	// Responses are recorded once, into the per-family sketch: no
+	// unlabelled online/responses distribution exists beside it.
+	var snapJSON bytes.Buffer
+	if err := reg.WriteSnapshot(&snapJSON); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(snapJSON.String(), `"online/responses"`) {
+		t.Errorf("snapshot records an unlabelled online/responses distribution:\n%s", snapJSON.String())
+	}
 	if got := reg.Counter("online/alarms/stide").Value(); got != 4 {
 		t.Errorf("online/alarms/stide = %d, want 4", got)
 	}

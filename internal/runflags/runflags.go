@@ -2,7 +2,9 @@
 // every long-running command (sweep, perfmap, report, ensemble) registers
 // the same flags —
 //
-//	-metrics-out FILE   write a JSON metrics snapshot (schema adiv.obs/v2)
+//	-metrics-out FILE   write a JSON metrics snapshot (schema adiv.obs/v3:
+//	                    counters, gauges, and quantile sketches, span
+//	                    durations included in seconds)
 //	-progress           emit NDJSON progress events to stderr during the run
 //	-status ADDR        serve live introspection (/metrics, /runz, /eventz,
 //	                    /alertz, /tracez, /healthz, /debug/pprof) on ADDR

@@ -38,7 +38,7 @@ type Corpus struct {
 	// Telemetry handles; nil when uninstrumented (the default).
 	mHits   *obs.Counter
 	mMisses *obs.Counter
-	tBuild  *obs.Timing
+	tBuild  *obs.Sketch
 	gWidths *obs.Gauge
 	tracer  *obs.Tracer
 }
@@ -61,8 +61,8 @@ func NewCorpus(stream Stream) *Corpus {
 }
 
 // Instrument records cache telemetry into reg: the seq/corpus/hit and
-// seq/corpus/miss counters, the seq/corpus/build timing (one record per
-// database built), and the seq/corpus/widths gauge (distinct widths
+// seq/corpus/miss counters, the seq/corpus/build sketch (one observation
+// in seconds per database built), and the seq/corpus/widths gauge (distinct widths
 // cached). A nil registry disables instrumentation. Instrument is safe to
 // call concurrently with DB.
 func (c *Corpus) Instrument(reg *obs.Registry) {
@@ -74,7 +74,7 @@ func (c *Corpus) Instrument(reg *obs.Registry) {
 	}
 	c.mHits = reg.Counter("seq/corpus/hit")
 	c.mMisses = reg.Counter("seq/corpus/miss")
-	c.tBuild = reg.Timing("seq/corpus/build")
+	c.tBuild = reg.Sketch("seq/corpus/build")
 	c.gWidths = reg.Gauge("seq/corpus/widths")
 	c.tracer = reg.Tracer()
 }
@@ -134,7 +134,7 @@ func (c *Corpus) DB(width int) (*DB, error) {
 	tsp.SetAttrInt("width", width)
 	start := time.Now()
 	e.db, e.err = Build(c.stream, width)
-	tBuild.Record(time.Since(start))
+	tBuild.Observe(time.Since(start).Seconds())
 	tsp.End()
 	gWidths.Set(float64(widths))
 	close(e.done)

@@ -162,7 +162,7 @@ func TestCorpusInstrumentation(t *testing.T) {
 	if got := reg.Counter("seq/corpus/hit").Value(); got != 3 {
 		t.Errorf("seq/corpus/hit = %d, want 3", got)
 	}
-	if count, _, _, _ := reg.Timing("seq/corpus/build").Stats(); count != 2 {
+	if count := reg.Sketch("seq/corpus/build").Count(); count != 2 {
 		t.Errorf("seq/corpus/build recorded %d builds, want 2", count)
 	}
 	if got := reg.Gauge("seq/corpus/widths").Value(); got != 2 {

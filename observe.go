@@ -12,18 +12,15 @@ import (
 // synthesis, dozens of detector trainings, the 8×14 evaluation grid, the
 // streaming pipeline — can record run telemetry into a Metrics registry
 // and narrate progress as NDJSON events. The registry's JSON snapshot
-// (schema adiv.obs/v2, pinned by a golden test) is the substrate for
+// (schema adiv.obs/v3, pinned by a golden test) is the substrate for
 // benchmark-trajectory tracking across PRs. All instrumentation is
 // disabled by passing a nil registry, at zero cost.
 type (
-	// Metrics is a registry of counters, gauges, fixed-bin histograms,
-	// and accumulated timing spans. All methods are nil-safe: a nil
-	// *Metrics disables instrumentation wherever it is accepted.
+	// Metrics is a registry of counters, gauges, and quantile sketches;
+	// timing spans record their durations, in seconds, into the sketch of
+	// the span's name. All methods are nil-safe: a nil *Metrics disables
+	// instrumentation wherever it is accepted.
 	Metrics = obs.Registry
-	// MetricsSnapshot is the machine-readable state of a Metrics registry.
-	MetricsSnapshot = obs.Snapshot
-	// EventLog writes structured NDJSON events (one JSON object per line).
-	EventLog = obs.EventLog
 	// EventFields carries the payload of one event.
 	EventFields = obs.Fields
 	// Progress tracks a run's grid progress (rows, cells, throughput, ETA)
@@ -32,25 +29,6 @@ type (
 	Progress = obs.Progress
 	// RunStatus is the JSON document /runz serves (schema adiv.runz/v1).
 	RunStatus = obs.RunStatus
-	// Tracer records per-event execution spans (monotonic start/end,
-	// trace/span/parent IDs, worker lane, key=value attributes) into a
-	// bounded ring for Chrome/Perfetto export. Attach one to a Metrics
-	// registry with SetTracer and upgraded call sites start emitting; a
-	// nil *Tracer no-ops everything at zero cost.
-	Tracer = obs.Tracer
-	// TraceEvent is one recorded span or instant marker.
-	TraceEvent = obs.SpanEvent
-	// TraceReport is the analysis diagnose -trace prints: critical path,
-	// per-worker occupancy, top self-time spans, family cost rollups.
-	TraceReport = obs.TraceReport
-	// QuantileSketch is a fixed-memory streaming quantile estimator
-	// (DDSketch-style, ±1% relative error, ~17KB regardless of stream
-	// length). Registries hand them out by name; snapshots, /metrics, and
-	// /runz surface their p50/p90/p99.
-	QuantileSketch = obs.Sketch
-	// SketchStats is one sketch's snapshot: count, sum, extremes, and the
-	// p50/p90/p99 estimates.
-	SketchStats = obs.SketchStats
 	// AlertJournal records streaming alarm dispositions as NDJSON (schema
 	// adiv.alerts/v1): Alarmers journal raised, a VetoPipeline resolves
 	// each to escalated or suppressed. Nil-safe like every obs handle.
@@ -64,22 +42,7 @@ type (
 	// AlertAnalysisOptions tunes the offline alert analysis; the zero
 	// value selects the documented defaults.
 	AlertAnalysisOptions = obs.AlertAnalysisOptions
-	// Watchdog evaluates detector-health rules (silent / saturated /
-	// storm) against a registry's counters on ticks; firing rules degrade
-	// /healthz and emit watch.* events.
-	Watchdog = obs.Watchdog
 )
-
-// MetricsSchemaVersion identifies the snapshot JSON schema downstream
-// tooling can depend on.
-const MetricsSchemaVersion = obs.SchemaVersion
-
-// TraceSchemaVersion identifies the execution-trace export schema carried
-// in the Chrome trace file's otherData block.
-const TraceSchemaVersion = obs.TraceSchemaVersion
-
-// AlertSchemaVersion identifies the alert-journal NDJSON record schema.
-const AlertSchemaVersion = obs.AlertSchemaVersion
 
 // Alert dispositions: every alarm is journaled as raised; a veto pipeline
 // later resolves it to escalated (corroborated) or suppressed (expired
@@ -105,29 +68,14 @@ func AnalyzeAlerts(recs []AlertRecord, opts AlertAnalysisOptions) AlertReport {
 	return obs.AnalyzeAlerts(recs, opts)
 }
 
-// NewWatchdog returns a detector-health watchdog over m's counters with no
-// rules; add silent/saturated/storm rules and tick it on a wall clock.
-func NewWatchdog(m *Metrics) *Watchdog { return obs.NewWatchdog(m) }
-
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.New() }
 
-// NewTracer returns a tracer retaining the most recent capacity spans
-// (capacity <= 0 selects the default, 65536).
-func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
-
-// AnalyzeTrace computes the critical path, per-lane occupancy, top-N
-// self-time spans, and per-detector-family cost rollups of a span set.
-func AnalyzeTrace(spans []TraceEvent, topN int) TraceReport { return obs.AnalyzeTrace(spans, topN) }
-
-// NewEventLog returns an event log writing NDJSON lines to w.
-func NewEventLog(w io.Writer) *EventLog { return obs.NewEventLog(w) }
-
 // ObserveDetector wraps a detector with run telemetry recorded into m:
-// per-training durations (train/<name>/dwNN spans), scoring durations and
-// cumulative throughput in symbols/sec, and the response distribution
-// (responses/<name> histogram with exact-extreme counts). A nil registry
-// returns the detector unwrapped, so the disabled path costs nothing.
+// per-training durations (train/<name>/dwNN spans), scoring durations
+// (score/<name> span) and cumulative throughput in symbols/sec, and the
+// response quantiles (responses_q/<name> sketch). A nil registry returns
+// the detector unwrapped, so the disabled path costs nothing.
 func ObserveDetector(det Detector, m *Metrics) Detector { return detector.Observed(det, m) }
 
 // BuildCorpusObserved is BuildCorpus with run telemetry — synthesis and
