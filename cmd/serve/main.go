@@ -1,7 +1,7 @@
 // Command serve runs the multi-tenant streaming detection daemon: thousands
-// of concurrent symbol streams, each scored by its own trained detector
-// instance, routed across worker shards with bounded queues and explicit
-// backpressure.
+// of concurrent symbol streams, each scored by its own stream state over one
+// trained detector that every tenant shares, routed across worker shards
+// with bounded queues and explicit backpressure.
 //
 // Usage:
 //
@@ -14,10 +14,10 @@
 // Two transports share one scoring core. POST /v1/push accepts NDJSON lines
 // ({"tenant":"t0","symbols":[1,2,3]}), one response line per request; the
 // -tcp listener speaks the compact length-prefixed framing in
-// internal/serve for load-generator throughput. A tenant's detector is
-// created on first contact (trained against a shared corpus cache, so the
-// marginal cost is one model allocation) and retired to a pool when the
-// tenant closes.
+// internal/serve for load-generator throughput. The detector (and the veto
+// detector, if any) is trained once at startup; a tenant is per-stream
+// state over it, created on first contact and recycled through a free list
+// when the tenant closes.
 //
 // Backpressure is explicit: a tenant whose shard queue is full receives
 // HTTP 429 or a Busy frame immediately — the daemon never buffers
@@ -252,14 +252,18 @@ func publishStats(p *obs.Progress, stats serve.Stats) {
 	})
 }
 
-// tenantFactory builds the per-tenant scoring unit: a raw Scorer
-// (threshold 0), a journaling Alarmer, or — with a veto family — the full
-// corroboration pipeline. Every unit trains against the shared corpus, so
-// per-width sequence databases are built once and reused across tenants.
+// tenantFactory trains each configured detector once and returns the
+// factory of per-tenant scoring units over those shared, read-only models:
+// a raw Scorer (threshold 0), a journaling Alarmer, or — with a veto family
+// — the full corroboration pipeline. A bad flag fails here, at startup,
+// not on the first tenant.
 func tenantFactory(corpus *seq.Corpus, detName string, window int, threshold float64,
 	vetoName string, vetoWindow int, vetoThreshold float64, journal *obs.AlertJournal) (func() (serve.TenantScorer, error), error) {
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("threshold %v outside [0,1]", threshold)
+	}
+	if vetoName != "" && threshold <= 0 {
+		return nil, fmt.Errorf("-veto requires a positive -threshold")
 	}
 	if vetoWindow == 0 {
 		vetoWindow = window
@@ -274,57 +278,47 @@ func tenantFactory(corpus *seq.Corpus, detName string, window int, threshold flo
 		}
 		return det, nil
 	}
-	// Validate eagerly so a bad flag fails at startup, not on first tenant.
-	if _, err := newTrained(detName, window); err != nil {
+	det, err := newTrained(detName, window)
+	if err != nil {
 		return nil, err
 	}
-	if vetoName != "" {
-		if _, err := newTrained(vetoName, vetoWindow); err != nil {
+	var factory func() (serve.TenantScorer, error)
+	switch {
+	case vetoName != "":
+		veto, err := newTrained(vetoName, vetoWindow)
+		if err != nil {
 			return nil, fmt.Errorf("veto: %w", err)
 		}
-		if threshold <= 0 {
-			return nil, fmt.Errorf("-veto requires a positive -threshold")
-		}
-		return func() (serve.TenantScorer, error) {
-			primary, err := newTrained(detName, window)
-			if err != nil {
-				return nil, err
-			}
-			veto, err := newTrained(vetoName, vetoWindow)
-			if err != nil {
-				return nil, err
-			}
-			p, err := online.NewVetoPipeline(primary, veto, threshold, vetoThreshold)
+		factory = func() (serve.TenantScorer, error) {
+			p, err := online.NewVetoPipeline(det, veto, threshold, vetoThreshold)
 			if err != nil {
 				return nil, err
 			}
 			p.SetJournal(journal)
 			return serve.PipelineTenant{P: p}, nil
-		}, nil
-	}
-	if threshold > 0 {
-		return func() (serve.TenantScorer, error) {
-			det, err := newTrained(detName, window)
-			if err != nil {
-				return nil, err
-			}
+		}
+	case threshold > 0:
+		factory = func() (serve.TenantScorer, error) {
 			a, err := online.NewAlarmer(det, threshold)
 			if err != nil {
 				return nil, err
 			}
 			a.SetJournal(journal)
 			return serve.AlarmerTenant{A: a}, nil
-		}, nil
+		}
+	default:
+		factory = func() (serve.TenantScorer, error) {
+			s, err := online.NewScorer(det)
+			if err != nil {
+				return nil, err
+			}
+			return serve.ScorerTenant{S: s}, nil
+		}
 	}
-	return func() (serve.TenantScorer, error) {
-		det, err := newTrained(detName, window)
-		if err != nil {
-			return nil, err
-		}
-		s, err := online.NewScorer(det)
-		if err != nil {
-			return nil, err
-		}
-		return serve.ScorerTenant{S: s}, nil
-	}, nil
+	// One throwaway unit validates the thresholds now, not on the first
+	// tenant; it costs an allocation, not a training.
+	if _, err := factory(); err != nil {
+		return nil, err
+	}
+	return factory, nil
 }

@@ -172,13 +172,6 @@ func WithQuantization(inner Detector, floor float64) (Detector, error) {
 	return compose.NewQuantized(inner, floor)
 }
 
-// StideLFC applies Stide's locality frame count to a raw response
-// sequence: each output is the fraction of mismatches in the trailing
-// frame.
-func StideLFC(responses []float64, frame int) ([]float64, error) {
-	return stide.LFC(responses, frame)
-}
-
 // ResponseProfile characterizes a detector's response distribution over a
 // stream (summary statistics, histogram, exact extreme counts).
 type ResponseProfile = eval.Profile

@@ -15,6 +15,7 @@ package compose
 import (
 	"fmt"
 
+	"adiv/internal/alphabet"
 	"adiv/internal/detector"
 	"adiv/internal/seq"
 )
@@ -58,25 +59,40 @@ func (d *Smoothed) Train(train seq.Stream) error { return d.inner.Train(train) }
 // inner detector's responses over the trailing frame (clipped at the
 // stream start).
 func (d *Smoothed) Score(test seq.Stream) ([]float64, error) {
-	raw, err := d.inner.Score(test)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(raw))
-	sum := 0.0
-	for i, r := range raw {
-		sum += r
-		if i >= d.frame {
-			sum -= raw[i-d.frame]
-		}
-		window := d.frame
-		if i+1 < d.frame {
-			window = i + 1
-		}
-		out[i] = sum / float64(window)
-	}
-	return out, nil
+	return scoreStaged(d.inner, test, d.newStage())
 }
+
+// NewStream implements detector.Detector: the inner stream through the
+// same trailing-frame stage.
+func (d *Smoothed) NewStream() (detector.Stream, error) {
+	return newStagedStream(d.inner, d.newStage())
+}
+
+func (d *Smoothed) newStage() stage {
+	return &frameMean{ring: make([]float64, d.frame)}
+}
+
+// frameMean is Smoothed's stage: the running sum of the trailing frame of
+// inner responses, kept in a ring of the last frame responses.
+type frameMean struct {
+	ring []float64
+	n    int
+	sum  float64
+}
+
+func (m *frameMean) next(r float64) float64 {
+	frame := len(m.ring)
+	slot := m.n % frame
+	m.sum += r
+	if m.n >= frame {
+		m.sum -= m.ring[slot]
+	}
+	m.ring[slot] = r
+	m.n++
+	return m.sum / float64(min(m.n, frame))
+}
+
+func (m *frameMean) reset() { m.n, m.sum = 0, 0 }
 
 // Quantized decorates a detector by snapping responses at or above a floor
 // to exactly 1, leaving others untouched.
@@ -115,14 +131,71 @@ func (d *Quantized) Train(train seq.Stream) error { return d.inner.Train(train) 
 
 // Score implements detector.Detector.
 func (d *Quantized) Score(test seq.Stream) ([]float64, error) {
-	out, err := d.inner.Score(test)
+	return scoreStaged(d.inner, test, snap(d.floor))
+}
+
+// NewStream implements detector.Detector: the inner stream through the
+// same snap.
+func (d *Quantized) NewStream() (detector.Stream, error) {
+	return newStagedStream(d.inner, snap(d.floor))
+}
+
+// snap is Quantized's stage: responses at or above the floor become 1.
+type snap float64
+
+func (f snap) next(r float64) float64 {
+	if r >= float64(f) {
+		return 1
+	}
+	return r
+}
+
+func (snap) reset() {}
+
+// stage is a decorator's per-response transform. Batch Score and the
+// decorator's stream both pass every inner response through it in order,
+// so the two agree by construction.
+type stage interface {
+	next(r float64) float64
+	reset()
+}
+
+// scoreStaged applies st to inner's batch responses in place.
+func scoreStaged(inner detector.Detector, test seq.Stream, st stage) ([]float64, error) {
+	out, err := inner.Score(test)
 	if err != nil {
 		return nil, err
 	}
 	for i, r := range out {
-		if r >= d.floor {
-			out[i] = 1
-		}
+		out[i] = st.next(r)
 	}
 	return out, nil
+}
+
+func newStagedStream(inner detector.Detector, st stage) (detector.Stream, error) {
+	s, err := inner.NewStream()
+	if err != nil {
+		return nil, err
+	}
+	return &stagedStream{inner: s, st: st}, nil
+}
+
+// stagedStream is a decorator's stream: inner's ready responses through
+// the stage.
+type stagedStream struct {
+	inner detector.Stream
+	st    stage
+}
+
+func (s *stagedStream) Step(sym alphabet.Symbol) (float64, bool, error) {
+	r, ready, err := s.inner.Step(sym)
+	if err != nil || !ready {
+		return 0, false, err
+	}
+	return s.st.next(r), true, nil
+}
+
+func (s *stagedStream) Reset() {
+	s.inner.Reset()
+	s.st.reset()
 }

@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -35,6 +36,13 @@ func (s *scripted) Score(test seq.Stream) ([]float64, error) {
 	out := make([]float64, len(test)-1)
 	copy(out, s.responses)
 	return out, nil
+}
+
+func (s *scripted) NewStream() (detector.Stream, error) {
+	if !s.trained {
+		return nil, detector.ErrNotTrained
+	}
+	return nil, errors.New("scripted: batch only")
 }
 
 var _ detector.Detector = (*scripted)(nil)
@@ -203,5 +211,10 @@ func TestDecoratorsPropagateErrors(t *testing.T) {
 	}
 	if _, err := q.Score(mk(0, 1, 2)); err == nil {
 		t.Errorf("quantized score of untrained inner succeeded")
+	}
+	for _, dec := range []detector.Detector{d, q} {
+		if _, err := dec.NewStream(); !errors.Is(err, detector.ErrNotTrained) {
+			t.Errorf("%s stream of untrained inner: %v, want ErrNotTrained", dec.Name(), err)
+		}
 	}
 }

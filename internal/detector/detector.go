@@ -12,9 +12,8 @@ package detector
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
+	"adiv/internal/alphabet"
 	"adiv/internal/seq"
 )
 
@@ -42,6 +41,50 @@ type Detector interface {
 	// returns an error if called before Train or if the stream is shorter
 	// than Extent().
 	Score(test seq.Stream) ([]float64, error)
+	// NewStream returns fresh per-stream state over the trained model:
+	// stepping a stream through it symbol by symbol yields exactly Score's
+	// responses, bit for bit. It returns ErrNotTrained before Train. The
+	// stream owns all of its mutable state and the model is read-only
+	// after training, so one trained detector serves any number of
+	// streams on any goroutines (retraining while streams are live is a
+	// data race).
+	NewStream() (Stream, error)
+}
+
+// Stream is the incremental form of a detector's Score over one symbol
+// stream. It is not safe for concurrent use; distinct streams of one
+// detector are independent.
+type Stream interface {
+	// Step feeds the next symbol. ready is false until the symbols fed
+	// cover one extent; from then on every step yields the response of
+	// the window ending at sym.
+	Step(sym alphabet.Symbol) (r float64, ready bool, err error)
+	// Reset returns the stream to its just-constructed state.
+	Reset()
+}
+
+// Fold is the batch Score of a detector whose scoring primitive is its
+// Stream: one fresh stream stepped over the whole test stream, keeping
+// every ready response.
+func Fold(d Detector, test seq.Stream) ([]float64, error) {
+	s, err := d.NewStream()
+	if err != nil {
+		return nil, err
+	}
+	if err := CheckScorable(true, d.Extent(), test); err != nil {
+		return nil, err
+	}
+	out := make([]float64, 0, seq.NumWindows(len(test), d.Extent()))
+	for _, sym := range test {
+		r, ready, err := s.Step(sym)
+		if err != nil {
+			return nil, err
+		}
+		if ready {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 // CorpusTrainer is the optional training fast path alongside Detector.Train:
@@ -72,7 +115,8 @@ func TrainWith(d Detector, c *seq.Corpus) error {
 	return d.Train(c.Stream())
 }
 
-// ErrNotTrained is returned by Score when the detector has no model yet.
+// ErrNotTrained is returned by Score and NewStream when the detector has no
+// model yet.
 var ErrNotTrained = errors.New("detector: not trained")
 
 // ErrStreamTooShort is returned by Score when the test stream cannot hold a
@@ -87,7 +131,7 @@ func ValidateWindow(dw int) error {
 	return nil
 }
 
-// CheckScorable is the shared precondition check for Score implementations.
+// CheckScorable is the shared precondition check of batch scoring.
 func CheckScorable(trained bool, extent int, test seq.Stream) error {
 	if !trained {
 		return ErrNotTrained
@@ -96,50 +140,4 @@ func CheckScorable(trained bool, extent int, test seq.Stream) error {
 		return fmt.Errorf("%w: stream length %d, extent %d", ErrStreamTooShort, len(test), extent)
 	}
 	return nil
-}
-
-// Factory constructs a detector with the given window from an opaque
-// per-detector configuration established at registration time.
-type Factory func(window int) (Detector, error)
-
-// registry maps detector names to factories. It is populated by Register,
-// typically from package adiv which wires the concrete implementations.
-var registry = struct {
-	mu sync.RWMutex
-	m  map[string]Factory
-}{m: make(map[string]Factory)}
-
-// Register associates a detector name with a factory. Registering a name
-// twice replaces the earlier factory; registering a nil factory is a
-// programming error and panics.
-func Register(name string, f Factory) {
-	if f == nil {
-		panic("detector: Register with nil factory")
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	registry.m[name] = f
-}
-
-// New constructs a registered detector by name.
-func New(name string, window int) (Detector, error) {
-	registry.mu.RLock()
-	f, ok := registry.m[name]
-	registry.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("detector: unknown detector %q (registered: %v)", name, Names())
-	}
-	return f(window)
-}
-
-// Names returns the registered detector names in sorted order.
-func Names() []string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	names := make([]string, 0, len(registry.m))
-	for n := range registry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -7,17 +7,6 @@ import (
 	"adiv/internal/seq"
 )
 
-// fake is a minimal Detector for registry tests.
-type fake struct{ window int }
-
-func (f *fake) Name() string                          { return "fake" }
-func (f *fake) Window() int                           { return f.window }
-func (f *fake) Extent() int                           { return f.window }
-func (f *fake) Train(seq.Stream) error                { return nil }
-func (f *fake) Score(t seq.Stream) ([]float64, error) { return make([]float64, len(t)), nil }
-
-var _ Detector = (*fake)(nil)
-
 func TestValidateWindow(t *testing.T) {
 	if err := ValidateWindow(1); err != nil {
 		t.Errorf("ValidateWindow(1) = %v", err)
@@ -39,36 +28,4 @@ func TestCheckScorable(t *testing.T) {
 	if err := CheckScorable(true, 5, make(seq.Stream, 5)); err != nil {
 		t.Errorf("exact-length stream rejected: %v", err)
 	}
-}
-
-func TestRegistry(t *testing.T) {
-	Register("fake", func(w int) (Detector, error) { return &fake{window: w}, nil })
-	d, err := New("fake", 4)
-	if err != nil {
-		t.Fatalf("New(fake): %v", err)
-	}
-	if d.Window() != 4 || d.Name() != "fake" {
-		t.Errorf("constructed detector %s window %d", d.Name(), d.Window())
-	}
-	if _, err := New("nosuch", 4); err == nil {
-		t.Errorf("New of unregistered name succeeded")
-	}
-	found := false
-	for _, n := range Names() {
-		if n == "fake" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Names() = %v does not include fake", Names())
-	}
-}
-
-func TestRegisterNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Register(nil) did not panic")
-		}
-	}()
-	Register("nil-factory", nil)
 }

@@ -193,59 +193,80 @@ func randomDistributionInto(src *rng.Source, p []float64) {
 }
 
 // Score implements detector.Detector: responses[t] = 1 - P(test[t] |
-// test[0..t-1]) under the trained model, computed by the scaled forward
-// recursion. The first response conditions on the initial distribution.
+// test[0..t-1]) under the trained model, the belief stream folded over the
+// test stream.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.pi != nil, 1, test); err != nil {
-		return nil, err
+	return detector.Fold(d, test)
+}
+
+// NewStream implements detector.Detector: the HMM's scoring primitive is
+// the scaled forward recursion, one belief update per symbol.
+func (d *Detector) NewStream() (detector.Stream, error) {
+	if d.pi == nil {
+		return nil, detector.ErrNotTrained
 	}
-	n := d.n
-	cur := append([]float64(nil), d.pi...)
-	next := make([]float64, n)
-	out := make([]float64, len(test))
-	for t, sym := range test {
-		o := int(sym)
-		p := 0.0
-		if o < d.k {
-			et := d.emitT[o*n : o*n+n]
-			if t == 0 {
-				for i := range next {
-					next[i] = cur[i] * et[i]
-					p += next[i]
-				}
-			} else {
-				// The belief update Σ_i cur[i]·trans[i][j] runs i-outer over
-				// unit-stride transition rows; each next[j] still sums its
-				// terms in ascending i, so the responses match the reference
-				// recursion bit for bit.
-				for j := range next {
-					next[j] = 0
-				}
-				for i, cv := range cur {
-					row := d.trans[i*n : i*n+n]
-					for j := range row {
-						next[j] += cv * row[j]
-					}
-				}
-				for j := range next {
-					next[j] *= et[j]
-					p += next[j]
-				}
+	b := &belief{d: d, cur: make([]float64, d.n), next: make([]float64, d.n)}
+	b.Reset()
+	return b, nil
+}
+
+// belief is one stream's normalized forward variable over hidden states.
+// The first step conditions on the initial distribution.
+type belief struct {
+	d         *Detector
+	cur, next []float64
+	started   bool
+}
+
+func (b *belief) Reset() {
+	copy(b.cur, b.d.pi)
+	b.started = false
+}
+
+func (b *belief) Step(sym alphabet.Symbol) (float64, bool, error) {
+	d, n := b.d, b.d.n
+	cur, next := b.cur, b.next
+	o := int(sym)
+	p := 0.0
+	if o < d.k {
+		et := d.emitT[o*n : o*n+n]
+		if !b.started {
+			for i := range next {
+				next[i] = cur[i] * et[i]
+				p += next[i]
 			}
-		}
-		out[t] = 1 - math.Min(1, p)
-		if p > 0 {
-			for i := 0; i < n; i++ {
-				next[i] /= p
-			}
-			cur, next = next, cur
 		} else {
-			// An impossible symbol: reset belief to the stationary-ish
-			// initial distribution and keep scoring.
-			copy(cur, d.pi)
+			// The belief update Σ_i cur[i]·trans[i][j] runs i-outer over
+			// unit-stride transition rows; each next[j] still sums its
+			// terms in ascending i, so the responses match the reference
+			// recursion bit for bit.
+			for j := range next {
+				next[j] = 0
+			}
+			for i, cv := range cur {
+				row := d.trans[i*n : i*n+n]
+				for j := range row {
+					next[j] += cv * row[j]
+				}
+			}
+			for j := range next {
+				next[j] *= et[j]
+				p += next[j]
+			}
 		}
 	}
-	return out, nil
+	b.started = true
+	if p > 0 {
+		for i := range next {
+			next[i] /= p
+		}
+		b.cur, b.next = next, cur
+	} else {
+		// An impossible symbol: reset belief to the stationary-ish
+		// initial distribution and keep scoring.
+		copy(cur, d.pi)
+	}
+	return 1 - math.Min(1, p), true, nil
 }
 
 // PredictiveProb returns the model's one-step predictive probabilities for
@@ -259,29 +280,4 @@ func (d *Detector) PredictiveProb(test seq.Stream) ([]float64, error) {
 		responses[i] = 1 - r
 	}
 	return responses, nil
-}
-
-// ScoreWindowBytes implements detector.WindowByteScorer for streaming
-// deployment: the HMM's extent is one symbol, and the single-window
-// response is one minus the symbol's probability under the initial state
-// distribution — exactly Score of a one-symbol stream, without its trellis
-// allocations. (The batch recursion's evolving belief state is a property
-// of scoring one long stream; the streaming adapter scores each window
-// independently for every detector family.)
-func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
-	if d.pi == nil {
-		return 0, detector.ErrNotTrained
-	}
-	if len(w) != 1 {
-		return 0, fmt.Errorf("hmm: window length %d, want 1", len(w))
-	}
-	o := int(w[0])
-	p := 0.0
-	if o < d.k {
-		et := d.emitT[o*d.n:][:d.n]
-		for i, pv := range d.pi {
-			p += pv * et[i]
-		}
-	}
-	return 1 - math.Min(1, p), nil
 }

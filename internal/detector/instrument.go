@@ -47,6 +47,8 @@ func Observed(d Detector, reg *obs.Registry) Detector {
 // observed decorates a Detector with metrics recording. Train and Score
 // delegate to the inner detector; Name/Window/Extent pass through via
 // embedding, so evaluation output is unchanged by instrumentation.
+// NewStream passes through the same way: streams carry no per-Score
+// telemetry, since the online scorer records its own online/* metrics.
 type observed struct {
 	Detector
 	reg        *obs.Registry

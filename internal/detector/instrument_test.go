@@ -11,6 +11,18 @@ import (
 	"adiv/internal/seq"
 )
 
+// fake is a minimal Detector for instrumentation tests.
+type fake struct{ window int }
+
+func (f *fake) Name() string                          { return "fake" }
+func (f *fake) Window() int                           { return f.window }
+func (f *fake) Extent() int                           { return f.window }
+func (f *fake) Train(seq.Stream) error                { return nil }
+func (f *fake) Score(t seq.Stream) ([]float64, error) { return make([]float64, len(t)), nil }
+func (f *fake) NewStream() (Stream, error)            { return nil, ErrNotTrained }
+
+var _ Detector = (*fake)(nil)
+
 // TestObservedOneDistributionPerQuantity pins the Observed catalogue: each
 // Score call adds one observation of its elapsed seconds to the score/<name>
 // span sketch, each response lands once in responses_q/<name>, and no

@@ -152,34 +152,17 @@ func similarityBytes(x, y []byte) int {
 // similar stored normal sequence. A response of 1 therefore requires the
 // window to share no position with any normal sequence.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.normal != nil, d.window, test); err != nil {
-		return nil, err
-	}
-	simMax := float64(MaxSimilarity(d.window))
-	n := seq.NumWindows(len(test), d.window)
-	out := make([]float64, n)
-	// Encode the test stream once; each window compared is an overlapping
-	// subslice of the encoded buffer.
-	b := test.Bytes()
-	for i := 0; i < n; i++ {
-		w := b[i : i+d.window]
-		best := 0
-		for _, normal := range d.normal {
-			if s := similarityBytes(normal, w); s > best {
-				best = s
-				if best == int(simMax) {
-					break
-				}
-			}
-		}
-		out[i] = 1 - float64(best)/simMax
-	}
-	return out, nil
+	return detector.ScoreWindows(d, d.normal != nil, d.window, test)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer: the single-window
-// streaming fast path — the batch loop's best-similarity search over the
-// normal profile, with no allocation.
+// NewStream implements detector.Detector over the same window kernel.
+func (d *Detector) NewStream() (detector.Stream, error) {
+	return detector.NewWindowStream(d, d.normal != nil, d.window)
+}
+
+// ScoreWindowBytes implements detector.WindowByteScorer, the Lane &
+// Brodley window kernel: the best-similarity search over the normal
+// profile, with no allocation.
 func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
 	if d.normal == nil {
 		return 0, detector.ErrNotTrained

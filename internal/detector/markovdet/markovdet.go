@@ -138,8 +138,8 @@ func (d *Detector) Prob(g seq.Stream) (float64, error) {
 }
 
 // probBytes is Prob for a byte-encoded, length-checked (window+1)-gram: the
-// allocation-free estimate the score loop uses on overlapping subslices of
-// the encoded test stream.
+// allocation-free estimate the window kernel computes on overlapping
+// subslices of the encoded test stream.
 func (d *Detector) probBytes(gram []byte) float64 {
 	ctxCount := d.contexts.CountBytes(gram[:d.window])
 	if d.lambda == 0 {
@@ -159,22 +159,16 @@ func (d *Detector) probBytes(gram []byte) float64 {
 // test[i:i+DW]), one response per (DW+1)-gram of the test stream, i.e. one
 // per element beginning at the (DW+1)st element as the paper puts it.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.contexts != nil, d.window+1, test); err != nil {
-		return nil, err
-	}
-	n := seq.NumWindows(len(test), d.window+1)
-	out := make([]float64, n)
-	// Encode the test stream once; each gram is an overlapping subslice, so
-	// the loop performs two counted map lookups and no allocation per gram.
-	b := test.Bytes()
-	for i := 0; i < n; i++ {
-		out[i] = 1 - d.probBytes(b[i:i+d.window+1])
-	}
-	return out, nil
+	return detector.ScoreWindows(d, d.contexts != nil, d.window+1, test)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer: the single-gram
-// streaming fast path, two counted lookups and no allocation.
+// NewStream implements detector.Detector over the same window kernel.
+func (d *Detector) NewStream() (detector.Stream, error) {
+	return detector.NewWindowStream(d, d.contexts != nil, d.window+1)
+}
+
+// ScoreWindowBytes implements detector.WindowByteScorer, the Markov
+// detector's window kernel: two counted lookups and no allocation.
 func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
 	if d.contexts == nil {
 		return 0, detector.ErrNotTrained

@@ -50,11 +50,12 @@ type network struct {
 	w2, v2  []float64 // output layer, row-major
 	b2, vb2 []float64
 
-	// Scratch owned by the sequential paths (forward for scoring, step for
-	// per-example SGD, sg for apply). The network is therefore not safe for
-	// concurrent use except through the explicit gradient fan-out in
-	// trainSGD, where every worker gets a private grad slot and scratch and
-	// the weights are read-only for the duration of the fan-out.
+	// Scratch owned by training (step for per-example SGD, sg for apply).
+	// Training is therefore not safe for concurrent use except through the
+	// explicit gradient fan-out in trainSGD, where every worker gets a
+	// private grad slot and scratch and the weights are read-only for the
+	// duration of the fan-out. Scoring never touches this scratch: each
+	// window kernel owns its activations (nnet.go).
 	g0 grad
 	s0 scratch
 	sg []float64 // apply: per-hidden-unit step*delta, len hidden
@@ -151,17 +152,10 @@ func (n *network) newScratch() scratch {
 	return scratch{probs: make([]float64, n.k), acc: make([]float64, accLen)}
 }
 
-// forward runs the context (byte-encoded window) through the network and
-// returns the softmax output distribution. The returned slice is scratch
-// owned by the network, valid until the next forward or step call.
-func (n *network) forward(context []byte) []float64 {
-	n.forwardInto(context, n.g0.h, n.g0.h2, n.s0.probs)
-	return n.s0.probs
-}
-
-// forwardInto runs the forward pass writing activations and the softmax
-// into caller-provided buffers, so gradient workers can run concurrently
-// against the shared (read-only) weights.
+// forwardInto runs the context (byte-encoded window) through the network,
+// writing activations and the softmax output distribution into
+// caller-provided buffers, so gradient workers and window kernels run
+// concurrently against the shared (read-only) weights.
 func (n *network) forwardInto(context []byte, h, h2, probs []float64) {
 	hidden := n.hidden
 	// First layer: gather one contiguous weight column per window position.

@@ -242,32 +242,57 @@ func (d *Detector) Prob(g seq.Stream) (float64, error) {
 	if len(g) != d.window+1 {
 		return 0, fmt.Errorf("nnet: gram length %d, want %d", len(g), d.window+1)
 	}
-	b := g.Bytes()
-	probs := d.net.forward(b[:d.window])
-	next := int(b[d.window])
-	if next >= len(probs) {
-		return 0, nil
-	}
-	return probs[next], nil
+	return d.newKernel().prob(g.Bytes()), nil
 }
 
 // Score implements detector.Detector: responses[i] = 1 - P̂(test[i+DW] |
 // test[i:i+DW]) under the trained network.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.net != nil, d.window+1, test); err != nil {
-		return nil, err
+	return detector.ScoreWindows(d.newKernel(), d.net != nil, d.window+1, test)
+}
+
+// NewStream implements detector.Detector over the same window kernel.
+func (d *Detector) NewStream() (detector.Stream, error) {
+	return detector.NewWindowStream(d.newKernel(), d.net != nil, d.window+1)
+}
+
+// kernel is the network's window kernel. It owns the forward pass's
+// activations, so any number of kernels score concurrently against the
+// read-only trained weights.
+type kernel struct {
+	net          *network
+	h, h2, probs []float64
+}
+
+// newKernel returns nil before training; ScoreWindows and NewWindowStream
+// reject an untrained detector without calling it.
+func (d *Detector) newKernel() *kernel {
+	if d.net == nil {
+		return nil
 	}
-	b := test.Bytes()
-	n := seq.NumWindows(len(test), d.window+1)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		probs := d.net.forward(b[i : i+d.window])
-		next := int(b[i+d.window])
-		p := 0.0
-		if next < len(probs) {
-			p = probs[next]
-		}
-		out[i] = 1 - p
+	k := &kernel{net: d.net, h: make([]float64, d.net.hidden), probs: make([]float64, d.net.k)}
+	if d.net.hidden2 > 0 {
+		k.h2 = make([]float64, d.net.hidden2)
 	}
-	return out, nil
+	return k
+}
+
+// prob is P̂(gram[DW] | gram[:DW]) for a length-checked (DW+1)-gram; a
+// symbol outside the trained alphabet has probability 0.
+func (k *kernel) prob(gram []byte) float64 {
+	window := k.net.window
+	k.net.forwardInto(gram[:window], k.h, k.h2, k.probs)
+	if next := int(gram[window]); next < len(k.probs) {
+		return k.probs[next]
+	}
+	return 0
+}
+
+// ScoreWindowBytes implements detector.WindowByteScorer: one forward pass
+// and no allocation.
+func (k *kernel) ScoreWindowBytes(w []byte) (float64, error) {
+	if len(w) != k.net.window+1 {
+		return 0, fmt.Errorf("nnet: gram length %d, want %d", len(w), k.net.window+1)
+	}
+	return 1 - k.prob(w), nil
 }

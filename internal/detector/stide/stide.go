@@ -9,7 +9,7 @@
 // to any foreign sequence longer than its window (paper Sections 5.2, 7).
 //
 // The locality frame count (LFC) noise-suppression stage of the original
-// system is implemented as an optional post-processor; the paper's
+// system is compose.Smoothed over Stide's 0/1 responses; the paper's
 // evaluation explicitly sets it aside (Section 5.5) and so do the figure
 // harnesses, but the ablation bench exercises it.
 package stide
@@ -82,52 +82,16 @@ func (d *Detector) NormalCount() int {
 // Score implements detector.Detector: response 1 for each test window
 // absent from the normal database, 0 otherwise.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.normal != nil, d.window, test); err != nil {
-		return nil, err
-	}
-	n := seq.NumWindows(len(test), d.window)
-	out := make([]float64, n)
-	// Encode the test stream once and query each window as an overlapping
-	// subslice: the whole score loop performs no per-window allocation.
-	b := test.Bytes()
-	for i := 0; i < n; i++ {
-		if !d.normal.ContainsBytes(b[i : i+d.window]) {
-			out[i] = 1
-		}
-	}
-	return out, nil
+	return detector.ScoreWindows(d, d.normal != nil, d.window, test)
 }
 
-// LFC applies Stide's locality frame count to a response sequence: each
-// output position reports the number of mismatches within the trailing
-// frame of the given size, normalized to [0,1]. It is exported for the
-// extension/ablation experiments only; the paper's evaluation bypasses it.
-func LFC(responses []float64, frame int) ([]float64, error) {
-	if frame < 1 {
-		return nil, fmt.Errorf("stide: non-positive locality frame %d", frame)
-	}
-	out := make([]float64, len(responses))
-	mismatches := 0
-	for i, r := range responses {
-		if r >= 1 {
-			mismatches++
-		}
-		if i >= frame {
-			if responses[i-frame] >= 1 {
-				mismatches--
-			}
-		}
-		window := frame
-		if i+1 < frame {
-			window = i + 1
-		}
-		out[i] = float64(mismatches) / float64(window)
-	}
-	return out, nil
+// NewStream implements detector.Detector over the same window kernel.
+func (d *Detector) NewStream() (detector.Stream, error) {
+	return detector.NewWindowStream(d, d.normal != nil, d.window)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer: the single-window
-// streaming fast path, one hash lookup and no allocation.
+// ScoreWindowBytes implements detector.WindowByteScorer, Stide's window
+// kernel: one hash lookup and no allocation.
 func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
 	if d.normal == nil {
 		return 0, detector.ErrNotTrained

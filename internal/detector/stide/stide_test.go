@@ -7,6 +7,7 @@ import (
 
 	"adiv/internal/alphabet"
 	"adiv/internal/detector"
+	"adiv/internal/detector/compose"
 	"adiv/internal/seq"
 )
 
@@ -151,12 +152,45 @@ func clamp(raw []byte, k byte) []byte {
 	return out
 }
 
-func TestLFC(t *testing.T) {
-	responses := []float64{0, 1, 1, 0, 0, 0, 1}
-	got, err := LFC(responses, 3)
+// lfc trains stide(2) on an alternating 0/1 stream, checks that test yields
+// the given 0/1 responses, and returns them smoothed over frame with
+// compose.Smoothed, the locality frame count.
+func lfc(t *testing.T, test seq.Stream, responses []float64, frame int) []float64 {
+	t.Helper()
+	d, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Train(mk(0, 1, 0, 1, 0, 1, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := d.Score(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != len(responses) {
+		t.Fatalf("%d responses, want %d", len(raw), len(responses))
+	}
+	for i := range responses {
+		if raw[i] != responses[i] {
+			t.Fatalf("response %d = %v, want %v", i, raw[i], responses[i])
+		}
+	}
+	s, err := compose.NewSmoothed(d, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Score(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestLFC(t *testing.T) {
+	// Windows (1,2), (2,0) and the last (1,2) are foreign: responses
+	// 0 1 1 0 0 0 1.
+	got := lfc(t, mk(0, 1, 2, 0, 1, 0, 1, 2), []float64{0, 1, 1, 0, 0, 0, 1}, 3)
 	want := []float64{0, 0.5, 2.0 / 3, 2.0 / 3, 1.0 / 3, 0, 1.0 / 3}
 	if len(got) != len(want) {
 		t.Fatalf("length %d, want %d", len(got), len(want))
@@ -166,7 +200,11 @@ func TestLFC(t *testing.T) {
 			t.Errorf("LFC[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if _, err := LFC(responses, 0); err == nil {
+	d, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compose.NewSmoothed(d, 0); err == nil {
 		t.Errorf("LFC(frame=0) succeeded")
 	}
 }
@@ -174,21 +212,31 @@ func TestLFC(t *testing.T) {
 func TestLFCSuppressesIsolatedMismatch(t *testing.T) {
 	// A single mismatch in a long clean stretch yields a low LFC score; a
 	// dense burst yields a high one — the noise-suppression property.
+	alternating := func() seq.Stream {
+		s := make(seq.Stream, 21)
+		for i := range s {
+			s[i] = alphabet.Symbol(i % 2)
+		}
+		return s
+	}
+	// Repeating symbol 10 makes window 10, (0,0), the only foreign one.
+	isoTest := alternating()
+	for i := 11; i < len(isoTest); i++ {
+		isoTest[i] = alphabet.Symbol((i + 1) % 2)
+	}
 	isolated := make([]float64, 20)
 	isolated[10] = 1
+	// A run of 0s over symbols 8..14 makes windows 8..13 foreign.
+	burstTest := alternating()
+	for i := 8; i <= 14; i++ {
+		burstTest[i] = 0
+	}
 	burst := make([]float64, 20)
 	for i := 8; i < 14; i++ {
 		burst[i] = 1
 	}
-	li, err := LFC(isolated, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := LFC(burst, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxIso, maxBurst := maxOf(li), maxOf(lb)
+	maxIso := maxOf(lfc(t, isoTest, isolated, 6))
+	maxBurst := maxOf(lfc(t, burstTest, burst, 6))
 	if maxIso >= maxBurst {
 		t.Errorf("isolated max %v not below burst max %v", maxIso, maxBurst)
 	}

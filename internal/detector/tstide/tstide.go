@@ -87,28 +87,18 @@ func (d *Detector) TrainCorpus(c *seq.Corpus) error {
 // foreign or rarer than the cutoff, 0 otherwise — Stide's exact match
 // hardened with the frequency threshold.
 func (d *Detector) Score(test seq.Stream) ([]float64, error) {
-	if err := detector.CheckScorable(d.normal != nil, d.window, test); err != nil {
-		return nil, err
-	}
-	n := seq.NumWindows(len(test), d.window)
-	out := make([]float64, n)
-	// Encode the test stream once and fold the foreign and rare predicates
-	// into a single counted lookup per window: foreign means count 0, rare
-	// means a positive count below the cutoff fraction of training windows.
-	b := test.Bytes()
-	limit := d.cutoff * float64(d.normal.Total())
-	for i := 0; i < n; i++ {
-		c := d.normal.CountBytes(b[i : i+d.window])
-		if c == 0 || float64(c) < limit {
-			out[i] = 1
-		}
-	}
-	return out, nil
+	return detector.ScoreWindows(d, d.normal != nil, d.window, test)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer: the single-window
-// streaming fast path — one counted lookup against the same rarity limit
-// the batch loop computes, and no allocation.
+// NewStream implements detector.Detector over the same window kernel.
+func (d *Detector) NewStream() (detector.Stream, error) {
+	return detector.NewWindowStream(d, d.normal != nil, d.window)
+}
+
+// ScoreWindowBytes implements detector.WindowByteScorer, t-stide's window
+// kernel. The foreign and rare predicates fold into one counted lookup:
+// foreign means count 0, rare means a positive count below the cutoff
+// fraction of training windows.
 func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
 	if d.normal == nil {
 		return 0, detector.ErrNotTrained

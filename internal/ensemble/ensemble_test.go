@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"errors"
 	"testing"
 
 	"adiv/internal/detector"
@@ -29,6 +30,10 @@ func (s *scripted) Score(test seq.Stream) ([]float64, error) {
 	out := make([]float64, len(test)-s.extent+1)
 	copy(out, s.responses)
 	return out, nil
+}
+
+func (*scripted) NewStream() (detector.Stream, error) {
+	return nil, errors.New("scripted: batch only")
 }
 
 var _ detector.Detector = (*scripted)(nil)

@@ -38,6 +38,10 @@ func (f *fakeDetector) Score(test seq.Stream) ([]float64, error) {
 	return f.scoreFunc(test), nil
 }
 
+func (*fakeDetector) NewStream() (detector.Stream, error) {
+	return nil, errors.New("fakeDetector: batch only")
+}
+
 var _ detector.Detector = (*fakeDetector)(nil)
 
 // constantScores returns n-extent+1 responses all equal to v.

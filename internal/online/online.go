@@ -3,12 +3,13 @@
 // it completes — the shape a production intrusion-detection pipeline
 // consumes, and the shape the paper's detectors originally ran in.
 //
-// The adapter maintains a sliding buffer of the detector's extent and
-// scores it on every push, so a Scorer's output is element-for-element
-// identical to scoring the whole stream in one batch call (a property the
-// tests pin). Each push costs one extent-sized scoring call; for the
-// detectors in this repository that is a handful of map lookups or a small
-// matrix product.
+// A Scorer is one detector.Stream over the detector's trained, read-only
+// model, plus a response ring and telemetry. Every detector family derives
+// its batch Score and its stream from one scoring primitive, so a Scorer's
+// output is element-for-element identical to scoring the whole stream in
+// one batch call (a property the tests pin bit for bit). Each push costs
+// one window-kernel call or one belief update; for the detectors in this
+// repository that is a handful of map lookups or a small matrix product.
 package online
 
 import (
@@ -28,22 +29,12 @@ import (
 const responseRingLen = 64
 
 // Scorer scores a symbol stream incrementally with a trained detector.
-// It is not safe for concurrent use.
-//
-// When the detector offers the detector.WindowByteScorer fast path
-// (captured once at construction, never re-asserted per push), the scorer
-// maintains the sliding window directly in a pooled byte buffer and each
-// steady-state push performs zero allocations: no response slice, no
-// stream re-encoding, no interface re-boxing. Detectors without the fast
-// path keep the batch-Score push path unchanged (retained verbatim as the
-// reference in reference_test.go, which pins both paths response-for-
-// response against it).
+// It is not safe for concurrent use; any number of Scorers may share one
+// trained detector. A steady-state push performs zero allocations.
 type Scorer struct {
 	det    detector.Detector
-	fast   detector.WindowByteScorer // nil: slow path via det.Score
+	stream detector.Stream
 	extent int
-	buf    seq.Stream // slow-path sliding window
-	bbuf   []byte     // fast-path byte-encoded sliding window
 	seen   int
 
 	// ring holds the most recent responses (newest at (ringN-1) mod len),
@@ -83,8 +74,8 @@ func (s *Scorer) Instrument(reg *obs.Registry) {
 	s.responseCount = reg.Counter("online/responses/" + family)
 }
 
-// NewScorer wraps a trained detector. Training state is verified lazily on
-// the first push (the detector interface exposes no trained-ness probe).
+// NewScorer opens a stream over a trained detector; it returns
+// detector.ErrNotTrained (wrapped) before training.
 func NewScorer(det detector.Detector) (*Scorer, error) {
 	if det == nil {
 		return nil, errors.New("online: nil detector")
@@ -93,17 +84,11 @@ func NewScorer(det detector.Detector) (*Scorer, error) {
 	if extent < 1 {
 		return nil, fmt.Errorf("online: detector %s reports extent %d", det.Name(), extent)
 	}
-	s := &Scorer{
-		det:    det,
-		extent: extent,
+	stream, err := det.NewStream()
+	if err != nil {
+		return nil, fmt.Errorf("online: %w", err)
 	}
-	if fast, ok := detector.AsWindowByteScorer(det); ok {
-		s.fast = fast
-		s.bbuf = make([]byte, 0, extent)
-	} else {
-		s.buf = make(seq.Stream, 0, extent)
-	}
-	return s, nil
+	return &Scorer{det: det, stream: stream, extent: extent}, nil
 }
 
 // Detector returns the wrapped detector.
@@ -112,18 +97,16 @@ func (s *Scorer) Detector() detector.Detector { return s.det }
 // Seen returns the number of symbols pushed since construction or Reset.
 func (s *Scorer) Seen() int { return s.seen }
 
-// Reset clears the sliding buffer and response ring, starting a new
-// stream. The trained model is retained; everything per-stream — the
-// sliding window, Seen, and the Recent ring — is cleared, so a Reset
-// scorer is observationally identical to a freshly constructed one. This
-// is the contract the multi-tenant serving tier's scorer pool relies on: a
-// scorer recycled from one tenant to another must not leak the previous
-// tenant's ring contents or Seen count. The ring slots are zeroed
-// explicitly (not just the logical length) so even a future ring-reading
-// bug cannot resurrect another tenant's responses.
+// Reset starts a new stream. The trained model is retained; everything
+// per-stream — the detector stream, Seen, and the Recent ring — is
+// cleared, so a Reset scorer is observationally identical to a freshly
+// constructed one. This is the contract the multi-tenant serving tier's
+// free list relies on: a scorer recycled from one tenant to another must
+// not leak the previous tenant's ring contents or Seen count. The ring
+// slots are zeroed explicitly (not just the logical length) so even a
+// future ring-reading bug cannot resurrect another tenant's responses.
 func (s *Scorer) Reset() {
-	s.buf = s.buf[:0]
-	s.bbuf = s.bbuf[:0]
+	s.stream.Reset()
 	s.seen = 0
 	s.ringN = 0
 	s.ring = [responseRingLen]float64{}
@@ -157,7 +140,7 @@ func (s *Scorer) Recent(dst []float64) []float64 {
 	return dst
 }
 
-// Push feeds one symbol. Once the buffer holds a full extent, every push
+// Push feeds one symbol. Once the pushes cover a full extent, every push
 // yields the response for the window ending at this symbol; ready is false
 // during the initial fill. Instrumented scorers additionally observe the
 // push's wall latency into the per-family latency sketch (time.Now and
@@ -178,47 +161,20 @@ func (s *Scorer) push(sym alphabet.Symbol) (response float64, ready bool, err er
 	if s.symbols != nil {
 		s.symbols.Inc()
 	}
-	if s.fast != nil {
-		if len(s.bbuf) < s.extent {
-			s.bbuf = append(s.bbuf, byte(sym))
-			if len(s.bbuf) < s.extent {
-				return 0, false, nil
-			}
-		} else {
-			copy(s.bbuf, s.bbuf[1:])
-			s.bbuf[s.extent-1] = byte(sym)
-		}
-		r, err := s.fast.ScoreWindowBytes(s.bbuf)
-		if err != nil {
-			return 0, false, fmt.Errorf("online: %w", err)
-		}
-		s.record(r)
-		return r, true, nil
-	}
-	if len(s.buf) < s.extent {
-		s.buf = append(s.buf, sym)
-		if len(s.buf) < s.extent {
-			return 0, false, nil
-		}
-	} else {
-		copy(s.buf, s.buf[1:])
-		s.buf[s.extent-1] = sym
-	}
-	responses, err := s.det.Score(s.buf)
+	r, ready, err := s.stream.Step(sym)
 	if err != nil {
 		return 0, false, fmt.Errorf("online: %w", err)
 	}
-	if len(responses) != 1 {
-		return 0, false, fmt.Errorf("online: scoring one window yielded %d responses", len(responses))
+	if ready {
+		s.record(r)
 	}
-	s.record(responses[0])
-	return responses[0], true, nil
+	return r, ready, nil
 }
 
 // PushAll feeds a whole slice and returns the responses produced, one per
 // completed window — identical to the detector's batch Score of the same
 // data when the Scorer starts empty. The response slice is sized once on
-// the first completed window, the call's only allocation on the fast path.
+// the first completed window, the call's only allocation.
 func (s *Scorer) PushAll(stream seq.Stream) ([]float64, error) {
 	var out []float64
 	for i, sym := range stream {
@@ -295,8 +251,8 @@ func (a *Alarmer) SetJournal(j *obs.AlertJournal) {
 // Alarmer appends — a multi-tenant serving tier journals all tenants into
 // one file and the tenant field is what keeps their alert streams apart.
 // Empty (the default) omits the field, preserving the single-stream
-// drivers' journal shape. A pooled Alarmer keeps its tenant until re-set,
-// so the serving tier re-stamps on every pool Get.
+// drivers' journal shape. Reset keeps the tenant until re-set, so the
+// serving tier re-stamps every recycled Alarmer.
 func (a *Alarmer) SetTenant(tenant string) {
 	a.tenant = tenant
 }

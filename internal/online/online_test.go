@@ -1,15 +1,22 @@
 package online
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"adiv/internal/alphabet"
 	"adiv/internal/detector"
+	"adiv/internal/detector/compose"
+	"adiv/internal/detector/hmm"
 	"adiv/internal/detector/lbr"
 	"adiv/internal/detector/markovdet"
+	"adiv/internal/detector/nnet"
 	"adiv/internal/detector/stide"
+	"adiv/internal/detector/tstide"
 	"adiv/internal/obs"
+	"adiv/internal/rng"
 	"adiv/internal/seq"
 )
 
@@ -41,6 +48,126 @@ func trained(t *testing.T, build func() (detector.Detector, error)) detector.Det
 	return det
 }
 
+// randStream is a k-cycle with 20% of positions replaced by random symbols
+// in [0,k): rare and foreign windows for every family.
+func randStream(seed uint64, length, k int) seq.Stream {
+	src := rng.New(seed)
+	out := make(seq.Stream, length)
+	for i := range out {
+		if src.Float64() < 0.2 {
+			out[i] = alphabet.Symbol(src.Intn(k))
+		} else {
+			out[i] = alphabet.Symbol(i % k)
+		}
+	}
+	return out
+}
+
+// streamCase is one detector family or decorator stack of the
+// streaming-equals-batch table.
+type streamCase struct {
+	name  string
+	build func() (detector.Detector, error)
+}
+
+func smoothed(inner func() (detector.Detector, error), frame int) func() (detector.Detector, error) {
+	return func() (detector.Detector, error) {
+		d, err := inner()
+		if err != nil {
+			return nil, err
+		}
+		return compose.NewSmoothed(d, frame)
+	}
+}
+
+func quantized(inner func() (detector.Detector, error), floor float64) func() (detector.Detector, error) {
+	return func() (detector.Detector, error) {
+		d, err := inner()
+		if err != nil {
+			return nil, err
+		}
+		return compose.NewQuantized(d, floor)
+	}
+}
+
+// streamCases covers every detector family and decorator.
+func streamCases() []streamCase {
+	newStide := func() (detector.Detector, error) { return stide.New(3) }
+	newMarkov := func() (detector.Detector, error) { return markovdet.New(3) }
+	return []streamCase{
+		{"stide", newStide},
+		{"stide-dw1", func() (detector.Detector, error) { return stide.New(1) }},
+		{"tstide", func() (detector.Detector, error) { return tstide.New(3, 0.01) }},
+		{"lb", func() (detector.Detector, error) { return lbr.New(3) }},
+		{"markov", newMarkov},
+		{"markov-laplace", func() (detector.Detector, error) { return markovdet.NewSmoothed(3, 0.5) }},
+		{"nn", func() (detector.Detector, error) {
+			cfg := nnet.DefaultConfig()
+			cfg.Hidden, cfg.Epochs, cfg.AlphabetSize = 8, 20, 10
+			return nnet.New(3, cfg)
+		}},
+		{"hmm", func() (detector.Detector, error) {
+			cfg := hmm.DefaultConfig()
+			cfg.States, cfg.Iterations = 6, 4
+			return hmm.New(cfg)
+		}},
+		{"stide+lfc", smoothed(newStide, 4)},
+		{"markov+lfc", smoothed(newMarkov, 3)},
+		{"stide@1", quantized(newStide, 0.5)},
+		{"markov@1", quantized(newMarkov, 0.6)},
+		{"markov+lfc@1", quantized(smoothed(newMarkov, 3), 0.5)},
+	}
+}
+
+// trainedCases trains every case on one stream.
+func trainedCases(t *testing.T) []detector.Detector {
+	t.Helper()
+	train := randStream(3, 3000, 8)
+	var out []detector.Detector
+	for _, c := range streamCases() {
+		det, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := det.Train(train); err != nil {
+			t.Fatalf("train %s: %v", c.name, err)
+		}
+		out = append(out, det)
+	}
+	return out
+}
+
+// streamMatchesBatch reports whether pushing test through a fresh Scorer
+// yields batch Score's responses bit for bit, or, when the stream is
+// shorter than one extent, no responses where Score reports the short
+// stream.
+func streamMatchesBatch(det detector.Detector, test seq.Stream) (bool, string) {
+	batch, berr := det.Score(test)
+	scorer, err := NewScorer(det)
+	if err != nil {
+		return false, "NewScorer: " + err.Error()
+	}
+	streamed, serr := scorer.PushAll(test)
+	if serr != nil {
+		return false, "PushAll: " + serr.Error()
+	}
+	if berr != nil {
+		if errors.Is(berr, detector.ErrStreamTooShort) && len(streamed) == 0 {
+			return true, ""
+		}
+		return false, "Score: " + berr.Error()
+	}
+	if len(streamed) != len(batch) {
+		return false, "response counts differ"
+	}
+	for i := range batch {
+		if math.Float64bits(streamed[i]) != math.Float64bits(batch[i]) {
+			return false, "responses differ"
+		}
+	}
+	return true, ""
+}
+
 func TestNewScorerValidation(t *testing.T) {
 	if _, err := NewScorer(nil); err == nil {
 		t.Errorf("nil detector accepted")
@@ -48,53 +175,48 @@ func TestNewScorerValidation(t *testing.T) {
 }
 
 func TestPushUntrained(t *testing.T) {
-	det, err := stide.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewScorer(det)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Push(0); err != nil {
-		t.Fatalf("push during fill should not score: %v", err)
-	}
-	if _, _, err := s.Push(1); err == nil {
-		t.Errorf("scoring with untrained detector succeeded")
+	for _, c := range streamCases() {
+		det, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewScorer(det); !errors.Is(err, detector.ErrNotTrained) {
+			t.Errorf("%s: NewScorer of an untrained detector: %v, want ErrNotTrained", c.name, err)
+		}
 	}
 }
 
-// TestStreamingMatchesBatch pins the core equivalence for all three
-// deterministic detectors: pushing a stream symbol by symbol yields the
-// batch Score of the same stream.
-func TestStreamingMatchesBatch(t *testing.T) {
-	builders := map[string]func() (detector.Detector, error){
-		"stide":  func() (detector.Detector, error) { return stide.New(3) },
-		"markov": func() (detector.Detector, error) { return markovdet.New(3) },
-		"lb":     func() (detector.Detector, error) { return lbr.New(3) },
+// TestPushUntrainedMatchesReference checks that the online untrained error
+// is the one batch Score, the reference, reports for the same detector.
+func TestPushUntrainedMatchesReference(t *testing.T) {
+	stream := randStream(1, 10, 4)
+	for _, c := range streamCases() {
+		det, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wantErr := det.Score(stream)
+		_, gotErr := NewScorer(det)
+		if !errors.Is(wantErr, detector.ErrNotTrained) || !errors.Is(gotErr, detector.ErrNotTrained) {
+			t.Errorf("%s: online err %v, batch reference %v; want both ErrNotTrained", c.name, gotErr, wantErr)
+		}
 	}
-	test := mk(0, 1, 2, 3, 0, 1, 3, 3, 2, 1, 0, 1, 2, 3)
-	for name, build := range builders {
-		t.Run(name, func(t *testing.T) {
-			det := trained(t, build)
-			batch, err := det.Score(test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scorer, err := NewScorer(det)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := scorer.PushAll(test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(streamed) != len(batch) {
-				t.Fatalf("%d streamed responses, %d batch", len(streamed), len(batch))
-			}
-			for i := range batch {
-				if streamed[i] != batch[i] {
-					t.Errorf("response[%d]: streamed %v, batch %v", i, streamed[i], batch[i])
+}
+
+// TestStreamingMatchesBatch pins the core equivalence for every family and
+// decorator: pushing a stream symbol by symbol yields the batch Score of
+// the same stream, bit for bit.
+func TestStreamingMatchesBatch(t *testing.T) {
+	tests := []seq.Stream{
+		mk(0, 1, 2, 3, 0, 1, 3, 3, 2, 1, 0, 1, 2, 3),
+		randStream(11, 1200, 9), // symbol 8 never follows the 8-cycle; 9 is foreign
+		randStream(12, 300, 4),
+	}
+	for i, det := range trainedCases(t) {
+		t.Run(streamCases()[i].name, func(t *testing.T) {
+			for j, test := range tests {
+				if ok, why := streamMatchesBatch(det, test); !ok {
+					t.Errorf("stream %d: %s", j, why)
 				}
 			}
 		})
@@ -102,45 +224,21 @@ func TestStreamingMatchesBatch(t *testing.T) {
 }
 
 // TestStreamingMatchesBatchProperty extends the equivalence to random
-// streams and window lengths for Stide.
+// streams, including ones shorter than the extent.
 func TestStreamingMatchesBatchProperty(t *testing.T) {
-	check := func(raw []byte, wRaw uint8) bool {
-		w := int(wRaw%4) + 1
-		test := make(seq.Stream, len(raw))
-		for i, b := range raw {
-			test[i] = alphabet.Symbol(b % 4)
-		}
-		if len(test) < w {
-			return true
-		}
-		det, err := stide.New(w)
-		if err != nil {
-			return false
-		}
-		if err := det.Train(trainStream()); err != nil {
-			return false
-		}
-		batch, err := det.Score(test)
-		if err != nil {
-			return false
-		}
-		scorer, err := NewScorer(det)
-		if err != nil {
-			return false
-		}
-		streamed, err := scorer.PushAll(test)
-		if err != nil || len(streamed) != len(batch) {
-			return false
-		}
-		for i := range batch {
-			if streamed[i] != batch[i] {
-				return false
+	cases := streamCases()
+	for i, det := range trainedCases(t) {
+		check := func(raw []byte) bool {
+			test := make(seq.Stream, len(raw))
+			for i, b := range raw {
+				test[i] = alphabet.Symbol(b % 10)
 			}
+			ok, _ := streamMatchesBatch(det, test)
+			return ok
 		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
+		if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+			t.Errorf("%s: %v", cases[i].name, err)
+		}
 	}
 }
 
@@ -264,5 +362,88 @@ func TestInstrumentLiveGauges(t *testing.T) {
 	}
 	if got := reg.Counter("online/symbols").Value(); got != 5 {
 		t.Errorf("detached scorer still counting: %d", got)
+	}
+}
+
+// TestPushObservedUnwraps checks the Observed instrumentation wrapper
+// streams through the inner detector's stream, bit-identically to batch.
+func TestPushObservedUnwraps(t *testing.T) {
+	train := randStream(3, 2000, 8)
+	st, err := stide.New(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	wrapped := detector.Observed(st, obs.New())
+	if ok, why := streamMatchesBatch(wrapped, randStream(9, 500, 8)); !ok {
+		t.Fatal(why)
+	}
+}
+
+// TestPushSteadyStateAllocs is the regression guard for the streaming hot
+// path: once the window is full, a push allocates nothing — for every
+// family and decorator, instrumented or not.
+func TestPushSteadyStateAllocs(t *testing.T) {
+	cases := streamCases()
+	for i, det := range trainedCases(t) {
+		s, err := NewScorer(det)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Instrument(obs.New())
+		warm := randStream(5, 64, 8)
+		if _, err := s.PushAll(warm); err != nil {
+			t.Fatal(err)
+		}
+		sym := alphabet.Symbol(1)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := s.Push(sym); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state push allocated %.2f times, want 0", cases[i].name, allocs)
+		}
+	}
+}
+
+// TestScorerRecent covers the preallocated response ring: fill, wrap,
+// order, reset.
+func TestScorerRecent(t *testing.T) {
+	train := randStream(3, 2000, 8)
+	st, err := stide.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewScorer(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Recent(nil); len(got) != 0 {
+		t.Fatalf("fresh scorer Recent returned %d responses", len(got))
+	}
+	test := randStream(5, 300, 9)
+	want, err := s.PushAll(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.Recent(nil)
+	if len(got) != responseRingLen {
+		t.Fatalf("Recent returned %d responses, want %d", len(got), responseRingLen)
+	}
+	tail := want[len(want)-responseRingLen:]
+	for i := range got {
+		if got[i] != tail[i] {
+			t.Fatalf("Recent[%d] = %v, want %v", i, got[i], tail[i])
+		}
+	}
+	s.Reset()
+	if got := s.Recent(nil); len(got) != 0 {
+		t.Fatalf("Recent after Reset returned %d responses", len(got))
 	}
 }

@@ -96,9 +96,9 @@ func (p *VetoPipeline) SetTenant(tenant string) {
 	p.primary.SetTenant(tenant)
 }
 
-// Reset clears all per-stream state — both detectors' sliding windows and
+// Reset clears all per-stream state — both detectors' streams and
 // rings, the pending and veto-coverage horizons, and the suppression
-// counter — so a pooled pipeline recycled to a new tenant behaves exactly
+// counter — so a pipeline recycled to a new tenant behaves exactly
 // like a freshly constructed one. The trained models are retained.
 func (p *VetoPipeline) Reset() {
 	p.primary.Reset()

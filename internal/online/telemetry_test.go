@@ -294,3 +294,58 @@ func TestInstrumentedPushAllocs(t *testing.T) {
 		t.Errorf("instrumented alarmer push allocated %.2f/op, want 0", allocs)
 	}
 }
+
+// TestPooledAlarmerReStampsTenant: an Alarmer recycled through Reset to a
+// new tenant journals under the tenant it is re-stamped with.
+func TestPooledAlarmerReStampsTenant(t *testing.T) {
+	det := trained(t, func() (detector.Detector, error) { return stide.New(3) })
+	a, err := NewAlarmer(det, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := obs.NewAlertJournal(nil)
+	a.SetJournal(journal)
+	// 3-window "3 3 3" never occurs in the 0-1-2-3 training cycle, so the
+	// strict-threshold stide alarmer fires on it.
+	foreign := mk(0, 1, 2, 3, 3, 3, 0, 1, 2, 3)
+
+	a.SetTenant("tenant-a")
+	alarms, err := a.PushAll(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alarms) == 0 {
+		t.Fatal("foreign stream raised no alarms")
+	}
+	a.Reset()
+	if a.Scorer().Seen() != 0 {
+		t.Fatalf("recycled alarmer leaks Seen = %d", a.Scorer().Seen())
+	}
+	a.SetTenant("tenant-b")
+	if _, err := a.PushAll(foreign); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if _, err := journal.WriteTail(&buf, -1); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadAlerts(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawA, sawB int
+	for _, rec := range recs {
+		switch rec.Tenant {
+		case "tenant-a":
+			sawA++
+		case "tenant-b":
+			sawB++
+		default:
+			t.Fatalf("record with unexpected tenant %q", rec.Tenant)
+		}
+	}
+	if sawA != len(alarms) || sawB != len(alarms) {
+		t.Fatalf("journal holds %d tenant-a and %d tenant-b records, want %d each", sawA, sawB, len(alarms))
+	}
+}

@@ -1,7 +1,7 @@
 // Package serve implements a multi-tenant streaming detection service:
-// thousands of concurrent symbol streams, each scored by a per-tenant pool of
-// trained detectors, routed across worker shards with bounded queues and
-// explicit backpressure. Two transports share one submission path — NDJSON
+// thousands of concurrent symbol streams, each scored by its own per-stream
+// state over trained detectors that all tenants share read-only, routed
+// across worker shards with bounded queues and explicit backpressure. Two transports share one submission path — NDJSON
 // over HTTP for debuggability, and a compact length-prefixed TCP framing for
 // throughput.
 package serve
@@ -19,7 +19,7 @@ import (
 
 // Frame types. A client sends Events (score and return responses),
 // EventsQuiet (score, ack counts only — the load-generator fast path), or
-// Close (retire the tenant's detector back to the pool). The server answers
+// Close (retire the tenant's stream state to the free list). The server answers
 // with Scores, Closed, Busy (shard queue full — retry later), or Error
 // (protocol violation — the connection is dropped).
 const (

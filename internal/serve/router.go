@@ -16,7 +16,7 @@ var (
 
 // router runs one worker goroutine per shard, each consuming a bounded queue
 // of closures. A tenant is pinned to one shard, so all of a tenant's work
-// executes serially in submission order — which is what lets a pooled,
+// executes serially in submission order — which is what lets a recycled,
 // concurrency-unsafe Scorer serve it without locks.
 type router struct {
 	// mu guards the submit/close race: submits hold it shared while

@@ -10,12 +10,12 @@ import (
 	"adiv/internal/alphabet"
 	"adiv/internal/checkpoint"
 	"adiv/internal/obs"
-	"adiv/internal/online"
 )
 
 // Config assembles a Server. NewTenant is the only required field: it builds
-// one TenantScorer with trained models (construction cost is amortized by
-// pooling — a closed tenant's scorer is Reset and recycled).
+// one TenantScorer, per-stream state over trained models that every tenant
+// shares read-only. A closed tenant's scorer is Reset and kept on a free
+// list for the next new tenant.
 type Config struct {
 	// Shards is the worker count; tenants hash onto shards and all of a
 	// tenant's batches execute serially on its shard. Default 1.
@@ -33,7 +33,9 @@ type Config struct {
 	// invariant (accepted == scored) can never be broken by a mid-batch
 	// domain error. Default alphabet.MaxSize.
 	AlphabetSize int
-	// NewTenant builds a trained per-tenant scorer (required).
+	// NewTenant builds a per-tenant scorer over shared trained models
+	// (required). It runs under the server's tenant-table lock, so it
+	// should allocate state, not train.
 	NewTenant func() (TenantScorer, error)
 	// Registry receives serve/* telemetry and the online/* watchdog pulse;
 	// nil disables instrumentation.
@@ -48,7 +50,7 @@ type Result struct {
 	Responses []float64
 	// Alarms counts alarms (or escalations) the batch raised.
 	Alarms int
-	// Closed reports that the tenant's scorer was retired to the pool.
+	// Closed reports that the tenant's scorer was retired to the free list.
 	Closed bool
 	// Err is a scoring error; the batch may have partially applied.
 	Err error
@@ -59,10 +61,10 @@ type Result struct {
 type Server struct {
 	cfg    Config
 	router *router
-	pool   *online.Pool[TenantScorer]
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
+	free    []TenantScorer // Reset scorers of closed tenants, reused LIFO
 
 	draining atomic.Bool
 
@@ -110,14 +112,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.AlphabetSize < 1 || cfg.AlphabetSize > alphabet.MaxSize {
 		cfg.AlphabetSize = alphabet.MaxSize
 	}
-	pool, err := online.NewPool(cfg.NewTenant)
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:     cfg,
 		router:  newRouter(cfg.Shards, cfg.QueueDepth),
-		pool:    pool,
 		tenants: make(map[string]*tenantState),
 	}
 	if reg := cfg.Registry; reg != nil {
@@ -151,7 +148,7 @@ func (s *Server) TenantShard(id string) int {
 // batch WILL be scored — even through a drain — and done is invoked exactly
 // once from the tenant's shard worker with the outcome. A non-nil return
 // means nothing was accepted and done will not be called: ErrBusy (shard
-// queue full — retry), ErrDraining, or a validation/pool error.
+// queue full — retry), ErrDraining, or a validation or NewTenant error.
 //
 // closeAfter retires the tenant after the batch: its scorer is Reset and
 // recycled, and a later Submit for the same id begins a fresh stream.
@@ -193,7 +190,7 @@ func (s *Server) Submit(id string, syms []alphabet.Symbol, closeAfter bool, done
 		s.scoredN.Add(int64(n))
 		s.alarmsN.Add(int64(alarms))
 		if closeAfter {
-			s.pool.Put(st.sc)
+			s.recycle(st.sc)
 		}
 		s.mScored.Add(int64(n))
 		s.mSymbols.Add(int64(n))
@@ -229,8 +226,12 @@ func (s *Server) lookup(id string, closeAfter bool) (st *tenantState, fresh bool
 	defer s.mu.Unlock()
 	st = s.tenants[id]
 	if st == nil {
-		sc, err := s.pool.Get()
-		if err != nil {
+		var sc TenantScorer
+		if n := len(s.free); n > 0 {
+			sc = s.free[n-1]
+			s.free[n-1] = nil
+			s.free = s.free[:n-1]
+		} else if sc, err = s.cfg.NewTenant(); err != nil {
 			return nil, false, fmt.Errorf("serve: tenant %q: %w", id, err)
 		}
 		sc.SetTenant(id)
@@ -249,14 +250,21 @@ func (s *Server) lookup(id string, closeAfter bool) (st *tenantState, fresh bool
 	return st, false, nil
 }
 
+// recycle resets a closed tenant's scorer and returns it to the free list.
+// Resetting here rather than on reuse means a scorer never sits on the list
+// carrying a previous tenant's stream state.
+func (s *Server) recycle(sc TenantScorer) {
+	sc.Reset()
+	s.mu.Lock()
+	s.free = append(s.free, sc)
+	s.mu.Unlock()
+}
+
 // submitFailed undoes lookup's map mutation after a rejected enqueue, so a
 // busy shard does not leak the tenant's scorer or strand its stream state.
 func (s *Server) submitFailed(st *tenantState, fresh, closeAfter bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if fresh {
-		// Nothing was scored; recycle immediately.
-		s.pool.Put(st.sc)
 		delete(s.tenants, st.id) // no-op when closeAfter kept it out
 	} else if closeAfter {
 		if _, exists := s.tenants[st.id]; !exists {
@@ -264,6 +272,11 @@ func (s *Server) submitFailed(st *tenantState, fresh, closeAfter bool) {
 		}
 	}
 	s.mTenants.Set(float64(len(s.tenants)))
+	s.mu.Unlock()
+	if fresh {
+		// Nothing was scored; recycle immediately.
+		s.recycle(st.sc)
+	}
 }
 
 // Stats is a consistent snapshot of the server's lifetime counters.

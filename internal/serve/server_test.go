@@ -12,6 +12,8 @@ import (
 
 	"adiv/internal/alphabet"
 	"adiv/internal/detector"
+	"adiv/internal/detector/hmm"
+	"adiv/internal/detector/nnet"
 	"adiv/internal/detector/stide"
 	"adiv/internal/gen"
 	"adiv/internal/online"
@@ -36,19 +38,51 @@ func testGen(t testing.TB) *gen.Generator {
 	return g
 }
 
-// tenantFactory returns a NewTenant hook training stide detectors against a
-// shared corpus — the same amortization the real daemon uses.
+// trainedOn trains one detector on g's training stream.
+func trainedOn(t testing.TB, g *gen.Generator, det detector.Detector, err error) detector.Detector {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := detector.TrainWith(det, seq.NewCorpus(g.Training())); err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+func testStide(t testing.TB, g *gen.Generator) detector.Detector {
+	t.Helper()
+	det, err := stide.New(testWindow)
+	return trainedOn(t, g, det, err)
+}
+
+// testNN is a small network with extent testWindow, like testStide's.
+func testNN(t testing.TB, g *gen.Generator) detector.Detector {
+	t.Helper()
+	cfg := nnet.DefaultConfig()
+	cfg.Hidden, cfg.Epochs = 12, 40
+	det, err := nnet.New(testWindow-1, cfg)
+	return trainedOn(t, g, det, err)
+}
+
+func testHMM(t testing.TB, g *gen.Generator) detector.Detector {
+	t.Helper()
+	cfg := hmm.DefaultConfig()
+	cfg.Iterations, cfg.MaxTrainSymbols = 8, 5_000
+	det, err := hmm.New(cfg)
+	return trainedOn(t, g, det, err)
+}
+
+// tenantFactory returns a NewTenant hook over one trained stide detector
+// that every tenant shares — the sharing the real daemon uses.
 func tenantFactory(t testing.TB, g *gen.Generator, threshold float64) func() (TenantScorer, error) {
 	t.Helper()
-	corpus := seq.NewCorpus(g.Training())
+	return tenantsOver(testStide(t, g), threshold)
+}
+
+// tenantsOver returns a NewTenant hook of per-stream state over det.
+func tenantsOver(det detector.Detector, threshold float64) func() (TenantScorer, error) {
 	return func() (TenantScorer, error) {
-		det, err := stide.New(testWindow)
-		if err != nil {
-			return nil, err
-		}
-		if err := detector.TrainWith(det, corpus); err != nil {
-			return nil, err
-		}
 		if threshold > 0 {
 			a, err := online.NewAlarmer(det, threshold)
 			if err != nil {
@@ -95,80 +129,169 @@ func submitWait(t testing.TB, s *Server, tenant string, syms []alphabet.Symbol, 
 	return <-ch
 }
 
-// serialResponses is the ground truth: the same stream through a fresh
-// serial Scorer.
-func serialResponses(t testing.TB, g *gen.Generator, stream seq.Stream) []float64 {
+// batchResponses is the ground truth: the batch Score of the stream by a
+// freshly trained stide.
+func batchResponses(t testing.TB, g *gen.Generator, stream seq.Stream) []float64 {
 	t.Helper()
-	sc, err := tenantFactory(t, g, 0)()
-	if err != nil {
-		t.Fatal(err)
-	}
-	responses, _, err := sc.PushBatch(stream)
+	responses, err := testStide(t, g).Score(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return responses
 }
 
+// serveStreams pushes one stream per tenant through s concurrently, in
+// ragged batches that never align with window boundaries, closing each
+// tenant on its last batch, then drains s. It returns each tenant's
+// responses in order.
+func serveStreams(t *testing.T, s *Server, streams []seq.Stream) [][]float64 {
+	t.Helper()
+	var wg sync.WaitGroup
+	got := make([][]float64, len(streams))
+	events := 0
+	for i, stream := range streams {
+		events += len(stream)
+		wg.Add(1)
+		go func(i int, stream seq.Stream) {
+			defer wg.Done()
+			tenant := fmt.Sprintf("tenant-%d", i)
+			for off := 0; off < len(stream); off += 97 {
+				end := min(off+97, len(stream))
+				res := submitWait(t, s, tenant, stream[off:end], end == len(stream))
+				if res.Err != nil {
+					t.Errorf("tenant %d: %v", i, res.Err)
+					return
+				}
+				got[i] = append(got[i], res.Responses...)
+			}
+		}(i, stream)
+	}
+	wg.Wait()
+	stats := s.Drain()
+	if stats.Accepted != stats.Scored {
+		t.Fatalf("drain: accepted %d != scored %d", stats.Accepted, stats.Scored)
+	}
+	if stats.Accepted != int64(events) {
+		t.Fatalf("accepted %d, want %d", stats.Accepted, events)
+	}
+	return got
+}
+
+func sameBits(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d responses, want %d", label, len(got), len(want))
+	}
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s response %d: served %v != batch %v", label, j, got[j], want[j])
+		}
+	}
+}
+
 // TestServingEquivalence is the core property: concurrent tenants batched
-// through the sharded server receive responses bit-identical to a serial
-// online.Scorer.PushAll of their stream, for every shard count.
+// through the sharded server, each a stream over one shared trained model,
+// receive responses bit-identical to the model's batch Score of their
+// stream, for every shard count and family.
 func TestServingEquivalence(t *testing.T) {
 	g := testGen(t)
 	const tenants = 6
-	const events = 1_500
 	streams := make([]seq.Stream, tenants)
-	want := make([][]float64, tenants)
 	for i := range streams {
-		streams[i] = g.Noisy(events, uint64(i))
-		want[i] = serialResponses(t, g, streams[i])
+		streams[i] = g.Noisy(1_500, uint64(i))
 	}
+	models := []detector.Detector{testStide(t, g), testNN(t, g), testHMM(t, g)}
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := newTestServer(t, shards, 8, 0)
-			var wg sync.WaitGroup
-			got := make([][]float64, tenants)
-			for i := 0; i < tenants; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					tenant := fmt.Sprintf("tenant-%d", i)
-					stream := streams[i]
-					// Ragged batch size so batch boundaries never align
-					// with window boundaries.
-					for off := 0; off < len(stream); off += 97 {
-						end := off + 97
-						if end > len(stream) {
-							end = len(stream)
-						}
-						res := submitWait(t, s, tenant, stream[off:end], end == len(stream))
-						if res.Err != nil {
-							t.Errorf("tenant %d: %v", i, res.Err)
-							return
-						}
-						got[i] = append(got[i], res.Responses...)
+			for _, det := range models {
+				t.Run(det.Name(), func(t *testing.T) {
+					s, err := NewServer(Config{Shards: shards, QueueDepth: 8, NewTenant: tenantsOver(det, 0)})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}(i)
-			}
-			wg.Wait()
-			stats := s.Drain()
-			if stats.Accepted != stats.Scored {
-				t.Fatalf("drain: accepted %d != scored %d", stats.Accepted, stats.Scored)
-			}
-			if stats.Accepted != int64(tenants*events) {
-				t.Fatalf("accepted %d, want %d", stats.Accepted, tenants*events)
-			}
-			for i := range got {
-				if len(got[i]) != len(want[i]) {
-					t.Fatalf("tenant %d: %d responses, want %d", i, len(got[i]), len(want[i]))
-				}
-				for j := range got[i] {
-					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-						t.Fatalf("tenant %d response %d: served %v != serial %v", i, j, got[i][j], want[i][j])
+					got := serveStreams(t, s, streams)
+					for i, stream := range streams {
+						want, err := det.Score(stream)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameBits(t, fmt.Sprintf("tenant %d", i), got[i], want)
 					}
-				}
+				})
 			}
 		})
+	}
+}
+
+// twinTenant scores one stream with two scorers of equal extent, so both
+// become ready on the same symbol; responses interleave a, b, a, b, ...
+type twinTenant struct{ a, b *online.Scorer }
+
+func (t twinTenant) PushBatch(syms []alphabet.Symbol) ([]float64, int, error) {
+	var out []float64
+	for _, sym := range syms {
+		ra, ready, err := t.a.Push(sym)
+		if err != nil {
+			return out, 0, err
+		}
+		rb, _, err := t.b.Push(sym)
+		if err != nil {
+			return out, 0, err
+		}
+		if ready {
+			out = append(out, ra, rb)
+		}
+	}
+	return out, 0, nil
+}
+
+func (t twinTenant) SetTenant(string) {}
+func (t twinTenant) Reset()           { t.a.Reset(); t.b.Reset() }
+
+// TestSharedModelsAcrossShards runs tenants on several shards at once over
+// one shared nn and one shared stide model; under -race it proves scoring
+// writes nothing the tenants share, and the responses still equal batch.
+func TestSharedModelsAcrossShards(t *testing.T) {
+	g := testGen(t)
+	nn, st := testNN(t, g), testStide(t, g)
+	if nn.Extent() != st.Extent() {
+		t.Fatalf("extents %d and %d differ", nn.Extent(), st.Extent())
+	}
+	s, err := NewServer(Config{Shards: 4, QueueDepth: 8, NewTenant: func() (TenantScorer, error) {
+		a, err := online.NewScorer(nn)
+		if err != nil {
+			return nil, err
+		}
+		b, err := online.NewScorer(st)
+		if err != nil {
+			return nil, err
+		}
+		return twinTenant{a, b}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([]seq.Stream, 8)
+	for i := range streams {
+		streams[i] = g.Noisy(600, uint64(100+i))
+	}
+	got := serveStreams(t, s, streams)
+	for i, stream := range streams {
+		var gotNN, gotStide []float64
+		for j := 0; j+1 < len(got[i]); j += 2 {
+			gotNN = append(gotNN, got[i][j])
+			gotStide = append(gotStide, got[i][j+1])
+		}
+		for _, c := range []struct {
+			det detector.Detector
+			got []float64
+		}{{nn, gotNN}, {st, gotStide}} {
+			want, err := c.det.Score(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, fmt.Sprintf("tenant %d %s", i, c.det.Name()), c.got, want)
+		}
 	}
 }
 
@@ -304,7 +427,7 @@ func TestDrainZeroLoss(t *testing.T) {
 	}
 }
 
-// TestCloseRecyclesScorer checks the pool path end to end: closing a tenant
+// TestCloseRecyclesScorer checks the free-list path end to end: closing a tenant
 // returns its scorer, and a re-opened tenant starts a fresh stream rather
 // than resuming the old window.
 func TestCloseRecyclesScorer(t *testing.T) {
@@ -313,7 +436,7 @@ func TestCloseRecyclesScorer(t *testing.T) {
 	defer s.Drain()
 
 	stream := g.Noisy(600, 1)
-	want := serialResponses(t, g, stream)
+	want := batchResponses(t, g, stream)
 
 	for round := 0; round < 3; round++ {
 		res := submitWait(t, s, "recycled", stream, false)
@@ -335,6 +458,73 @@ func TestCloseRecyclesScorer(t *testing.T) {
 	}
 	if s.Stats().Tenants != 0 {
 		t.Fatalf("%d tenants left after closes", s.Stats().Tenants)
+	}
+}
+
+// TestRecycledTenantIsClean: a closed tenant's scorer is reused for the
+// next new tenant, carrying nothing of the previous stream — Seen, the
+// response ring, and the responses themselves match a fresh scorer.
+func TestRecycledTenantIsClean(t *testing.T) {
+	g := testGen(t)
+	det := testStide(t, g)
+	var created []*online.Scorer
+	s, err := NewServer(Config{Shards: 2, NewTenant: func() (TenantScorer, error) {
+		sc, err := online.NewScorer(det)
+		if err != nil {
+			return nil, err
+		}
+		created = append(created, sc) // NewTenant runs under the server lock
+		return ScorerTenant{S: sc}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := submitWait(t, s, "first", g.Noisy(300, 1), true); res.Err != nil || !res.Closed {
+		t.Fatalf("first tenant: err %v closed %v", res.Err, res.Closed)
+	}
+	// A short second stream leaves the ring partly filled, where a stale
+	// ring would be most visible.
+	second := g.Noisy(20, 2)
+	res := submitWait(t, s, "second", second, false)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	s.Drain()
+	if len(created) != 1 {
+		t.Fatalf("NewTenant called %d times, want 1 (the closed scorer recycled)", len(created))
+	}
+	want, err := det.Score(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "recycled", res.Responses, want)
+	sc := created[0]
+	if sc.Seen() != len(second) {
+		t.Fatalf("recycled scorer Seen = %d, want %d", sc.Seen(), len(second))
+	}
+	sameBits(t, "recycled ring", sc.Recent(nil), want)
+}
+
+// TestNewTenantErrorPropagates: a failing NewTenant rejects the submission
+// with its error, and nothing is accepted.
+func TestNewTenantErrorPropagates(t *testing.T) {
+	boom := errors.New("boom")
+	s, err := NewServer(Config{NewTenant: func() (TenantScorer, error) { return nil, boom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	if err := s.Submit("t", []alphabet.Symbol{1}, false, func(Result) {}); !errors.Is(err, boom) {
+		t.Fatalf("Submit error = %v, want %v", err, boom)
+	}
+	if st := s.Stats(); st.Accepted != 0 || st.Tenants != 0 {
+		t.Fatalf("failed tenant left stats %+v", st)
+	}
+}
+
+func TestNewServerRequiresNewTenant(t *testing.T) {
+	if _, err := NewServer(Config{}); err == nil {
+		t.Fatal("nil NewTenant accepted")
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"adiv/internal/online"
 )
 
-// TenantScorer is the per-tenant detection unit the server pools and routes
-// to. Implementations wrap the online package's streaming components; all
-// carry trained models and are recycled across tenants via Reset, so they
-// must satisfy the pool contract (Reset leaves no trace of the previous
-// stream). None are safe for concurrent use — the router pins each tenant to
-// one shard to guarantee serial access.
+// TenantScorer is the per-tenant detection unit the server routes to.
+// Implementations wrap the online package's streaming components: per-stream
+// state over trained models shared read-only by every tenant. They are
+// recycled across tenants via Reset, which must leave no trace of the
+// previous stream. None are safe for concurrent use — the router pins each
+// tenant to one shard to guarantee serial access.
 type TenantScorer interface {
 	// PushBatch scores one batch in order, returning the window responses
 	// that became ready and how many alarms the batch raised. Implementations

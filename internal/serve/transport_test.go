@@ -24,7 +24,7 @@ func TestHTTPPushEquivalence(t *testing.T) {
 	h := NewHTTPHandler(s)
 
 	stream := g.Noisy(500, 3)
-	want := serialResponses(t, g, stream)
+	want := batchResponses(t, g, stream)
 
 	// Two tenants interleaved in one body; tenant b runs quiet.
 	var body bytes.Buffer
@@ -182,7 +182,7 @@ func TestTCPPushEquivalence(t *testing.T) {
 	ts := startTCP(t, s)
 
 	stream := g.Noisy(700, 5)
-	want := serialResponses(t, g, stream)
+	want := batchResponses(t, g, stream)
 
 	c := dialTCP(t, ts.Addr().String())
 	var got []float64
