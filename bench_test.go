@@ -9,6 +9,7 @@ package adiv_test
 import (
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"testing"
 
 	"adiv"
@@ -195,6 +196,45 @@ func BenchmarkDetectorScore(b *testing.B) {
 			b.SetBytes(int64(len(stream)))
 		})
 	}
+	// L&B answers a window of the training profile with one lookup and
+	// scans the whole profile for any other, so the placement stream above
+	// measures mostly the lookup. These cases score streams with no
+	// training window at all, which measures the scan.
+	for _, dw := range []int{6, 15} {
+		b.Run(fmt.Sprintf("lb-foreign/DW=%d", dw), func(b *testing.B) {
+			corpus := benchCorpus(b)
+			det := trainedDetector(b, adiv.DetectorLaneBrodley, dw)
+			stream := foreignStream(b, corpus, dw, len(corpus.Placements[6].Stream))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := det.Score(stream); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(stream)))
+		})
+	}
+}
+
+// foreignStream draws n seeded random symbols over the training alphabet,
+// redrawing any symbol that would close a width-dw window seen in training.
+func foreignStream(b *testing.B, corpus *adiv.Corpus, dw, n int) adiv.Stream {
+	b.Helper()
+	db, err := corpus.TrainIndex.DB(dw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := corpus.TrainIndex.Corpus().AlphabetSize()
+	src := rand.New(rand.NewPCG(1, uint64(dw)))
+	stream := make(adiv.Stream, 0, n)
+	for len(stream) < n {
+		stream = append(stream, adiv.Symbol(src.IntN(k)))
+		if len(stream) >= dw && db.Contains(stream[len(stream)-dw:]) {
+			stream = stream[:len(stream)-1]
+		}
+	}
+	return stream
 }
 
 // BenchmarkDetectorTrain compares training cost across the detectors.

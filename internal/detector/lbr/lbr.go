@@ -18,6 +18,10 @@
 // normal one only at an edge position scores DW(DW-1)/2 — barely below the
 // maximum (Figure 7's 15 -> 10 dip for DW=5) and nowhere near the maximal
 // response that the paper's detection threshold of 1 requires.
+//
+// Only a stored normal sequence reaches the maximum, so scoring answers such
+// a window with one lookup in the training window database (the read-only
+// DB Stide holds) and scans the profile only for the other windows.
 package lbr
 
 import (
@@ -30,6 +34,7 @@ import (
 // Detector is a Lane & Brodley instance. Construct with New.
 type Detector struct {
 	window int
+	db     *seq.DB  // training windows, for the exact-member lookup
 	normal [][]byte // distinct training windows, byte-encoded
 }
 
@@ -108,8 +113,8 @@ func (d *Detector) Train(train seq.Stream) error {
 }
 
 // TrainCorpus implements detector.CorpusTrainer: the window database comes
-// from the shared corpus cache. The profile itself is the detector's own
-// copy (byte-encoded, outside the DB), so sharing the DB is safe.
+// from the shared corpus cache. The detector only reads the DB, and the
+// profile is its own byte-encoded copy, so sharing the DB is safe.
 func (d *Detector) TrainCorpus(c *seq.Corpus) error {
 	db, err := c.DB(d.window)
 	if err != nil {
@@ -119,8 +124,9 @@ func (d *Detector) TrainCorpus(c *seq.Corpus) error {
 	return nil
 }
 
-// setProfile extracts the distinct training windows from a built database.
+// setProfile keeps the built database and extracts its distinct windows.
 func (d *Detector) setProfile(db *seq.DB) {
+	d.db = db
 	normal := make([][]byte, 0, db.Distinct())
 	for _, w := range db.Common(0) { // Common(0) = all distinct windows, sorted
 		normal = append(normal, w.Bytes())
@@ -161,8 +167,10 @@ func (d *Detector) NewStream() (detector.Stream, error) {
 }
 
 // ScoreWindowBytes implements detector.WindowByteScorer, the Lane &
-// Brodley window kernel: the best-similarity search over the normal
-// profile, with no allocation.
+// Brodley window kernel, with no allocation. A stored normal sequence is
+// the only window reaching similarity MaxSimilarity(DW), so a member of the
+// training DB scores 0 from one lookup; any other window scans the profile
+// for its best similarity, which is then always below the maximum.
 func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
 	if d.normal == nil {
 		return 0, detector.ErrNotTrained
@@ -170,14 +178,14 @@ func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
 	if len(w) != d.window {
 		return 0, fmt.Errorf("lbr: window length %d, want %d", len(w), d.window)
 	}
+	if d.db.ContainsBytes(w) {
+		return 0, nil
+	}
 	simMax := float64(MaxSimilarity(d.window))
 	best := 0
 	for _, normal := range d.normal {
 		if s := similarityBytes(normal, w); s > best {
 			best = s
-			if best == int(simMax) {
-				break
-			}
 		}
 	}
 	return 1 - float64(best)/simMax, nil

@@ -155,7 +155,8 @@ func (n *network) newScratch() scratch {
 // forwardInto runs the context (byte-encoded window) through the network,
 // writing activations and the softmax output distribution into
 // caller-provided buffers, so gradient workers and window kernels run
-// concurrently against the shared (read-only) weights.
+// concurrently against the shared (read-only) weights. Every context
+// symbol must be below n.k: the first layer has weights for no other.
 func (n *network) forwardInto(context []byte, h, h2, probs []float64) {
 	hidden := n.hidden
 	// First layer: gather one contiguous weight column per window position.

@@ -277,15 +277,19 @@ func (d *Detector) newKernel() *kernel {
 	return k
 }
 
-// prob is P̂(gram[DW] | gram[:DW]) for a length-checked (DW+1)-gram; a
-// symbol outside the trained alphabet has probability 0.
+// prob is P̂(gram[DW] | gram[:DW]) for a length-checked (DW+1)-gram. A
+// gram holding a symbol outside the trained alphabet, in the context or as
+// the next symbol, has probability 0: the network has no input weights for
+// such a context symbol and no output for such a next symbol.
 func (k *kernel) prob(gram []byte) float64 {
+	for _, sym := range gram {
+		if int(sym) >= k.net.k {
+			return 0
+		}
+	}
 	window := k.net.window
 	k.net.forwardInto(gram[:window], k.h, k.h2, k.probs)
-	if next := int(gram[window]); next < len(k.probs) {
-		return k.probs[next]
-	}
-	return 0
+	return k.probs[gram[window]]
 }
 
 // ScoreWindowBytes implements detector.WindowByteScorer: one forward pass

@@ -423,3 +423,63 @@ func TestUndertrainedNetworkIsWeak(t *testing.T) {
 		t.Errorf("undertrained network already maximal: response %v", 1-p)
 	}
 }
+
+// TestOutOfAlphabetContext pins the kernel's answer for a context symbol at
+// or beyond the trained alphabet size: like an out-of-alphabet next symbol,
+// the gram has probability 0 and response 1 at every context position,
+// including the last, where an unchecked first-layer index runs past the
+// weights; batch and stream agree. Grams inside the alphabet keep 1 - P̂.
+func TestOutOfAlphabetContext(t *testing.T) {
+	d, err := New(3, quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Train(cyclic(30)); err != nil {
+		t.Fatal(err)
+	}
+	// Trained alphabet {0..3}; 4 and 9 fall outside it.
+	test := mk(0, 1, 2, 3, 0, 1, 9, 3, 0, 1, 2, 4, 0, 1, 2, 3)
+	got, err := d.Score(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		gram := test[i : i+4]
+		outside := false
+		for _, sym := range gram {
+			outside = outside || sym >= 4
+		}
+		p, err := d.Prob(gram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case outside && (r != 1 || p != 0):
+			t.Errorf("gram %v: response %v, probability %v; want 1 and 0", gram, r, p)
+		case !outside && r != 1-p:
+			t.Errorf("gram %v: response %v, want 1 - %v", gram, r, p)
+		}
+	}
+	st, err := d.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed []float64
+	for _, sym := range test {
+		r, ready, err := st.Step(sym)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ready {
+			streamed = append(streamed, r)
+		}
+	}
+	if len(streamed) != len(got) {
+		t.Fatalf("stream gave %d responses, batch %d", len(streamed), len(got))
+	}
+	for i := range got {
+		if math.Float64bits(streamed[i]) != math.Float64bits(got[i]) {
+			t.Errorf("response %d: stream %v, batch %v", i, streamed[i], got[i])
+		}
+	}
+}

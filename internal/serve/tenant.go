@@ -42,7 +42,7 @@ type AlarmerTenant struct {
 }
 
 func (t AlarmerTenant) PushBatch(syms []alphabet.Symbol) ([]float64, int, error) {
-	var responses []float64
+	responses := make([]float64, 0, len(syms))
 	alarms := 0
 	for _, sym := range syms {
 		r, ready, _, raised, err := t.A.PushScored(sym)
