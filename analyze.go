@@ -91,7 +91,8 @@ func CoverageGain(a, b *Map) [][2]int { return ensemble.Gain(a, b) }
 
 // Suppress runs the trained primary and suppressor detectors over a test
 // stream and keeps only the primary's alarms corroborated by the
-// suppressor — the paper's Markov-detects / Stide-vetoes pipeline.
+// suppressor — the paper's Markov-detects / Stide-vetoes pipeline, as a
+// fold of VetoPipeline over the whole stream.
 func Suppress(primary, suppressor Detector, p Placement, primaryThreshold, suppressorThreshold float64) (SuppressionResult, error) {
 	return ensemble.Suppress(primary, suppressor, p, primaryThreshold, suppressorThreshold)
 }

@@ -6,6 +6,7 @@ import (
 
 	"adiv"
 	"adiv/internal/gen"
+	"adiv/internal/online"
 	"adiv/internal/seq"
 	"adiv/internal/serve"
 )
@@ -90,5 +91,57 @@ func TestTenantFactorySharesOneModel(t *testing.T) {
 				t.Fatalf("%s response %d: tenant %v != batch %v", family, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestTenantFactoryVetoSharesModels: with -veto every tenant is a veto
+// pipeline over the one primary and the one veto model trained at
+// startup, and it escalates as a pipeline over those models does.
+func TestTenantFactoryVetoSharesModels(t *testing.T) {
+	g, corpus := testCorpus(t)
+	factory, err := tenantFactory(corpus, adiv.DetectorMarkov, 4, 0.98, adiv.DetectorStide, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, ok := a.(serve.PipelineTenant)
+	if !ok {
+		t.Fatalf("-veto tenant is %T, want serve.PipelineTenant", a)
+	}
+	pb := b.(serve.PipelineTenant)
+	primary, veto := pa.P.Primary().Scorer().Detector(), pa.P.Veto().Scorer().Detector()
+	if primary.Name() != adiv.DetectorMarkov || veto.Name() != adiv.DetectorStide || veto.Window() != 4 {
+		t.Fatalf("pipeline over %s and %s(DW=%d), want markov and stide(DW=4)", primary.Name(), veto.Name(), veto.Window())
+	}
+	if pb.P.Primary().Scorer().Detector() != primary || pb.P.Veto().Scorer().Detector() != veto {
+		t.Fatal("two tenants hold different trained models")
+	}
+
+	mfs, err := gen.CanonicalMFS(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := append(append(g.Noisy(1_000, 3), mfs...), g.Noisy(1_000, 4)...)
+	responses, alarms, err := a.PushBatch(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := online.NewVetoPipeline(primary, veto, 0.98, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serial.PushAll(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if responses != nil || alarms != len(want) || alarms == 0 {
+		t.Fatalf("tenant escalated %d (responses %v), serial pipeline %d", alarms, responses, len(want))
 	}
 }

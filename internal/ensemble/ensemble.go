@@ -18,6 +18,7 @@ import (
 	"adiv/internal/detector"
 	"adiv/internal/eval"
 	"adiv/internal/inject"
+	"adiv/internal/online"
 	"adiv/internal/seq"
 )
 
@@ -109,43 +110,31 @@ type SuppressionResult struct {
 // the placement's stream at their respective thresholds and keeps only the
 // primary's alarms that overlap some suppressor alarm — the paper's "alarms
 // raised by the Markov-based detector, and not raised by Stide, may be
-// ignored as false alarms".
+// ignored as false alarms". The gated side is a fold of the streaming
+// online.VetoPipeline over the whole stream, so batch and streaming
+// suppression are one rule: its escalated alarms are the survivors.
 func Suppress(primary, suppressor detector.Detector, p inject.Placement, primaryThreshold, suppressorThreshold float64) (SuppressionResult, error) {
 	before, err := eval.AssessAlarms(primary, p, primaryThreshold)
 	if err != nil {
 		return SuppressionResult{}, err
 	}
-	primaryResp, err := primary.Score(p.Stream)
+	pipe, err := online.NewVetoPipeline(primary, suppressor, primaryThreshold, suppressorThreshold)
+	if err != nil {
+		return SuppressionResult{}, fmt.Errorf("ensemble: %w", err)
+	}
+	escalated, err := pipe.PushAll(p.Stream)
 	if err != nil {
 		return SuppressionResult{}, err
 	}
-	supResp, err := suppressor.Score(p.Stream)
-	if err != nil {
-		return SuppressionResult{}, err
-	}
-	covered, err := alarmCoverage(supResp, suppressor.Extent(), suppressorThreshold, len(p.Stream))
-	if err != nil {
-		return SuppressionResult{}, err
-	}
-
-	lo, hi, ok := p.IncidentSpan(primary.Extent())
-	if !ok {
-		return SuppressionResult{}, fmt.Errorf("ensemble: incident span empty for %s(DW=%d)", primary.Name(), primary.Window())
-	}
-	if hi >= len(primaryResp) {
-		hi = len(primaryResp) - 1
-	}
+	lo, hi, _ := p.IncidentSpan(primary.Extent()) // non-empty: AssessAlarms checked it
 	after := eval.AlarmStats{
 		Detector:  primary.Name() + "&" + suppressor.Name(),
 		Window:    primary.Window(),
 		Threshold: primaryThreshold,
 		Positions: before.Positions,
 	}
-	for _, a := range eval.Alarms(primaryResp, primaryThreshold) {
-		if !overlapsCovered(covered, a.Position, primary.Extent()) {
-			continue // vetoed by the suppressor
-		}
-		if a.Position >= lo && a.Position <= hi {
+	for _, e := range escalated {
+		if e.Primary.Position >= lo && e.Primary.Position <= hi {
 			after.SpanAlarms++
 		} else {
 			after.FalseAlarms++
@@ -153,31 +142,6 @@ func Suppress(primary, suppressor detector.Detector, p inject.Placement, primary
 	}
 	after.Hit = after.SpanAlarms > 0
 	return SuppressionResult{Primary: before, Suppressed: after}, nil
-}
-
-// alarmCoverage marks every stream element covered by a suppressor alarm.
-func alarmCoverage(responses []float64, extent int, threshold float64, streamLen int) ([]bool, error) {
-	if threshold <= 0 || threshold > 1 {
-		return nil, fmt.Errorf("ensemble: suppressor threshold %v outside (0,1]", threshold)
-	}
-	covered := make([]bool, streamLen)
-	for _, a := range eval.Alarms(responses, threshold) {
-		for i := a.Position; i < a.Position+extent && i < streamLen; i++ {
-			covered[i] = true
-		}
-	}
-	return covered, nil
-}
-
-// overlapsCovered reports whether any element of [pos, pos+extent) is
-// covered by a suppressor alarm.
-func overlapsCovered(covered []bool, pos, extent int) bool {
-	for i := pos; i < pos+extent && i < len(covered); i++ {
-		if covered[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // TrainAll trains each detector on the training stream, failing on the

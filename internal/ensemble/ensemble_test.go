@@ -1,9 +1,9 @@
 package ensemble
 
 import (
-	"errors"
 	"testing"
 
+	"adiv/internal/alphabet"
 	"adiv/internal/detector"
 	"adiv/internal/eval"
 	"adiv/internal/inject"
@@ -32,9 +32,34 @@ func (s *scripted) Score(test seq.Stream) ([]float64, error) {
 	return out, nil
 }
 
-func (*scripted) NewStream() (detector.Stream, error) {
-	return nil, errors.New("scripted: batch only")
+// NewStream replays the canned responses one window at a time, so the
+// streaming fold behind Suppress sees exactly what Score returns.
+func (s *scripted) NewStream() (detector.Stream, error) {
+	if !s.trained {
+		return nil, detector.ErrNotTrained
+	}
+	return &replay{s: s}, nil
 }
+
+// replay is a scripted detector's stream.
+type replay struct {
+	s   *scripted
+	fed int
+}
+
+func (r *replay) Step(alphabet.Symbol) (float64, bool, error) {
+	r.fed++
+	i := r.fed - r.s.extent
+	switch {
+	case i < 0:
+		return 0, false, nil
+	case i < len(r.s.responses):
+		return r.s.responses[i], true, nil
+	}
+	return 0, true, nil
+}
+
+func (r *replay) Reset() { r.fed = 0 }
 
 var _ detector.Detector = (*scripted)(nil)
 

@@ -9,22 +9,26 @@ import (
 	"adiv/internal/obs"
 )
 
-// VetoPipeline is the Section-7 suppression recipe as a reusable streaming
-// component: a rare-sensitive primary detector raises candidate alarms and
-// a foreign-only veto detector corroborates them; only corroborated alarms
-// are escalated. Corroboration is by element overlap within the trailing
-// horizon, so the two detectors may have different extents.
+// VetoPipeline is the Section-7 suppression recipe, and its one definition:
+// a rare-sensitive primary detector raises candidate alarms and a
+// foreign-only veto detector corroborates them; only corroborated alarms
+// are escalated. A candidate is corroborated when some veto alarm's window
+// shares a stream element with its own, so the two detectors may have
+// different extents. Batch ensemble.Suppress is a fold of this pipeline
+// over a whole stream.
 type VetoPipeline struct {
 	primary *Alarmer
 	veto    *Alarmer
 
-	// pending holds primary alarms still awaiting corroboration, oldest
-	// first; an alarm expires once the stream has advanced past its
-	// covered elements plus the veto's extent.
+	// pending holds primary alarms still awaiting corroboration in position
+	// order (both detectors raise alarms in window order, so it is a FIFO);
+	// an alarm expires once the stream has advanced past its covered
+	// elements plus the veto's extent.
 	pending []Alarm
-	// vetoCovered tracks recently veto-alarmed element positions within
-	// the horizon.
-	vetoCovered []int
+	// lastVeto is the window start of the latest veto alarm, -1 before the
+	// first. Veto windows arrive in position order, so it is the only veto
+	// window a new primary alarm can need.
+	lastVeto int
 
 	primaryExtent, vetoExtent int
 	seen                      int
@@ -35,7 +39,6 @@ type VetoPipeline struct {
 	mPrimary         *obs.Counter
 	mEscalated       *obs.Counter
 	mSuppressed      *obs.Counter
-	mSuppressionRate *obs.Gauge
 	mPushLatency     *obs.Sketch // whole-pipeline per-push latency, seconds
 	mEscInterArrival *obs.Sketch // symbol-position gaps between escalations
 	lastEscalatedPos int
@@ -51,8 +54,7 @@ type VetoPipeline struct {
 
 // Instrument records pipeline telemetry into reg: symbols pushed, primary
 // candidate alarms, escalated (corroborated) alarms, suppressed alarms,
-// the running suppression rate (suppressed / primary candidates), the
-// online/pipeline/push_latency sketch (whole-pipeline per-push wall
+// the online/pipeline/push_latency sketch (whole-pipeline per-push wall
 // latency, both detectors plus corroboration), and the
 // online/pipeline/escalation_interarrival sketch of symbol-position gaps
 // between consecutive escalations. When the registry carries a tracer,
@@ -62,7 +64,7 @@ type VetoPipeline struct {
 // metrics would collide — both scorers share the online/* names).
 func (p *VetoPipeline) Instrument(reg *obs.Registry) {
 	if reg == nil {
-		p.mSymbols, p.mPrimary, p.mEscalated, p.mSuppressed, p.mSuppressionRate = nil, nil, nil, nil, nil
+		p.mSymbols, p.mPrimary, p.mEscalated, p.mSuppressed = nil, nil, nil, nil
 		p.mPushLatency, p.mEscInterArrival = nil, nil
 		p.tracer = nil
 		return
@@ -71,7 +73,6 @@ func (p *VetoPipeline) Instrument(reg *obs.Registry) {
 	p.mPrimary = reg.Counter("online/pipeline/primary_alarms")
 	p.mEscalated = reg.Counter("online/pipeline/escalated")
 	p.mSuppressed = reg.Counter("online/pipeline/suppressed")
-	p.mSuppressionRate = reg.Gauge("online/pipeline/suppression_rate")
 	p.mPushLatency = reg.Sketch("online/pipeline/push_latency")
 	p.mEscInterArrival = reg.Sketch("online/pipeline/escalation_interarrival")
 	p.tracer = reg.Tracer()
@@ -96,25 +97,39 @@ func (p *VetoPipeline) SetTenant(tenant string) {
 	p.primary.SetTenant(tenant)
 }
 
-// Reset clears all per-stream state — both detectors' streams and
-// rings, the pending and veto-coverage horizons, and the suppression
-// counter — so a pipeline recycled to a new tenant behaves exactly
-// like a freshly constructed one. The trained models are retained.
+// Reset ends the stream and clears all per-stream state — both
+// detectors' streams and rings, the pending candidates, the latest veto
+// window, and the suppression counter — so a pipeline recycled to a new
+// tenant behaves exactly like a freshly constructed one. The stream ended
+// unanswered, so each still-pending candidate is first resolved as
+// suppressed: journaled under the old tenant and counted in telemetry,
+// keeping raised = escalated + suppressed for every closed stream. The
+// trained models are retained.
 func (p *VetoPipeline) Reset() {
+	p.suppress(p.pending)
 	p.primary.Reset()
 	p.veto.Reset()
 	p.pending = p.pending[:0]
-	p.vetoCovered = p.vetoCovered[:0]
+	p.lastVeto = -1
 	p.seen = 0
 	p.suppressed = 0
 	p.lastEscalatedPos = -1
 }
 
+// Primary returns the primary detector's alarmer.
+func (p *VetoPipeline) Primary() *Alarmer { return p.primary }
+
+// Veto returns the veto detector's alarmer.
+func (p *VetoPipeline) Veto() *Alarmer { return p.veto }
+
 // EscalatedAlarm is a primary alarm corroborated by the veto detector.
 type EscalatedAlarm struct {
 	// Primary is the corroborated alarm.
 	Primary Alarm
-	// VetoPosition is the window start of the corroborating veto alarm.
+	// VetoPosition is the window start of the corroborating veto alarm:
+	// the latest veto window when the primary escalated. A primary raised
+	// after overlapping veto alarms names the most recent of them, not
+	// the oldest.
 	VetoPosition int
 }
 
@@ -133,6 +148,7 @@ func NewVetoPipeline(primary, veto detector.Detector, primaryThreshold, vetoThre
 		veto:             va,
 		primaryExtent:    primary.Extent(),
 		vetoExtent:       veto.Extent(),
+		lastVeto:         -1,
 		lastEscalatedPos: -1,
 	}, nil
 }
@@ -181,14 +197,7 @@ func (p *VetoPipeline) push(sym alphabet.Symbol) ([]EscalatedAlarm, error) {
 				}
 				p.lastEscalatedPos = e.Primary.Position
 			}
-			p.journal.Append(obs.AlertRecord{
-				Tenant:      p.tenant,
-				Position:    e.Primary.Position,
-				Detector:    p.primary.scorer.det.Name(),
-				Score:       e.Primary.Response,
-				Threshold:   p.primary.threshold,
-				Disposition: obs.DispositionEscalated,
-			})
+			p.resolve(e.Primary, obs.DispositionEscalated)
 			p.tracer.Instant("online/escalated", "alarm",
 				obs.TraceAttr{Key: "position", Value: fmt.Sprint(e.Primary.Position)},
 				obs.TraceAttr{Key: "vetoPosition", Value: fmt.Sprint(e.VetoPosition)})
@@ -198,47 +207,33 @@ func (p *VetoPipeline) push(sym alphabet.Symbol) ([]EscalatedAlarm, error) {
 }
 
 // corroborate merges one push's alarm outcomes into the pending state and
-// returns the alarms escalated by it. Whether the fresh primary was
-// corroborated is tracked directly: this push's veto window may escalate an
-// older pending alarm while the fresh primary is corroborated by an earlier
-// veto window still inside the horizon, and both escalations must surface.
+// returns the alarms escalated by it, in position order. Both detectors
+// raise alarms in window order, so a veto alarm at v overlaps exactly the
+// pending primaries starting after v-primaryExtent (a suffix of the FIFO),
+// and a fresh primary at a overlaps an earlier veto window iff the latest
+// one starts after a-vetoExtent. The veto merges first, so a symbol that
+// completes both windows corroborates its own primary.
 func (p *VetoPipeline) corroborate(primaryAlarm Alarm, primaryRaised bool, vetoAlarm Alarm, vetoRaised bool) []EscalatedAlarm {
 	var escalated []EscalatedAlarm
-	fresh := -1
+	if vetoRaised {
+		p.lastVeto = vetoAlarm.Position
+		i := len(p.pending)
+		for i > 0 && p.pending[i-1].Position > p.lastVeto-p.primaryExtent {
+			i--
+		}
+		for _, pa := range p.pending[i:] {
+			escalated = append(escalated, EscalatedAlarm{Primary: pa, VetoPosition: p.lastVeto})
+		}
+		p.pending = p.pending[:i]
+	}
 	if primaryRaised {
-		p.pending = append(p.pending, primaryAlarm)
-		fresh = len(p.pending) - 1
 		if p.mPrimary != nil {
 			p.mPrimary.Inc()
 		}
-	}
-	freshEscalated := false
-	if vetoRaised {
-		p.vetoCovered = append(p.vetoCovered, vetoAlarm.Position)
-		// Corroborate pending primaries overlapping this veto window.
-		kept := p.pending[:0]
-		for i, pa := range p.pending {
-			if overlaps(pa.Position, p.primaryExtent, vetoAlarm.Position, p.vetoExtent) {
-				escalated = append(escalated, EscalatedAlarm{Primary: pa, VetoPosition: vetoAlarm.Position})
-				if i == fresh {
-					freshEscalated = true
-				}
-			} else {
-				kept = append(kept, pa)
-			}
-		}
-		p.pending = kept
-	}
-	if primaryRaised && !freshEscalated {
-		// A fresh primary may be corroborated by a recent veto window. It
-		// survived the loop above (if any), so it is still pending's last
-		// element.
-		for _, vp := range p.vetoCovered {
-			if overlaps(primaryAlarm.Position, p.primaryExtent, vp, p.vetoExtent) {
-				escalated = append(escalated, EscalatedAlarm{Primary: primaryAlarm, VetoPosition: vp})
-				p.pending = p.pending[:len(p.pending)-1]
-				break
-			}
+		if p.lastVeto >= 0 && p.lastVeto > primaryAlarm.Position-p.vetoExtent {
+			escalated = append(escalated, EscalatedAlarm{Primary: primaryAlarm, VetoPosition: p.lastVeto})
+		} else {
+			p.pending = append(p.pending, primaryAlarm)
 		}
 	}
 	return escalated
@@ -261,50 +256,45 @@ func (p *VetoPipeline) PushAll(stream []alphabet.Symbol) ([]EscalatedAlarm, erro
 // corroboration so far.
 func (p *VetoPipeline) Suppressed() int { return p.suppressed }
 
-// expire drops pending primaries and stale veto windows that can no longer
-// overlap anything new.
+// expire suppresses the pending primaries that can no longer overlap a
+// new veto window: those starting before the horizon, a prefix of the FIFO.
 func (p *VetoPipeline) expire() {
 	horizon := p.seen - p.primaryExtent - p.vetoExtent
-	kept := p.pending[:0]
-	expired := 0
-	for _, pa := range p.pending {
-		if pa.Position >= horizon {
-			kept = append(kept, pa)
-		} else {
-			p.suppressed++
-			expired++
-			p.journal.Append(obs.AlertRecord{
-				Tenant:      p.tenant,
-				Position:    pa.Position,
-				Detector:    p.primary.scorer.det.Name(),
-				Score:       pa.Response,
-				Threshold:   p.primary.threshold,
-				Disposition: obs.DispositionSuppressed,
-			})
-		}
+	i := 0
+	for i < len(p.pending) && p.pending[i].Position < horizon {
+		i++
 	}
-	p.pending = kept
-	if expired > 0 {
-		if p.mSuppressed != nil {
-			p.mSuppressed.Add(int64(expired))
-			if candidates := p.mPrimary.Value(); candidates > 0 {
-				p.mSuppressionRate.Set(float64(p.mSuppressed.Value()) / float64(candidates))
-			}
-		}
-		p.tracer.Instant("online/suppressed", "alarm",
-			obs.TraceAttr{Key: "count", Value: fmt.Sprint(expired)})
+	if i > 0 {
+		p.suppress(p.pending[:i])
+		p.pending = append(p.pending[:0], p.pending[i:]...)
 	}
-	keptVeto := p.vetoCovered[:0]
-	for _, vp := range p.vetoCovered {
-		if vp >= horizon {
-			keptVeto = append(keptVeto, vp)
-		}
-	}
-	p.vetoCovered = keptVeto
 }
 
-// overlaps reports whether [aPos, aPos+aExt) and [bPos, bPos+bExt) share an
-// element.
-func overlaps(aPos, aExt, bPos, bExt int) bool {
-	return aPos < bPos+bExt && bPos < aPos+aExt
+// suppress resolves uncorroborated candidates: each is counted and
+// journaled as suppressed.
+func (p *VetoPipeline) suppress(alarms []Alarm) {
+	if len(alarms) == 0 {
+		return
+	}
+	for _, pa := range alarms {
+		p.resolve(pa, obs.DispositionSuppressed)
+	}
+	p.suppressed += len(alarms)
+	if p.mSuppressed != nil {
+		p.mSuppressed.Add(int64(len(alarms)))
+	}
+	p.tracer.Instant("online/suppressed", "alarm",
+		obs.TraceAttr{Key: "count", Value: fmt.Sprint(len(alarms))})
+}
+
+// resolve journals a candidate's disposition under the pipeline's tenant.
+func (p *VetoPipeline) resolve(a Alarm, disposition string) {
+	p.journal.Append(obs.AlertRecord{
+		Tenant:      p.tenant,
+		Position:    a.Position,
+		Detector:    p.primary.scorer.det.Name(),
+		Score:       a.Response,
+		Threshold:   p.primary.threshold,
+		Disposition: disposition,
+	})
 }

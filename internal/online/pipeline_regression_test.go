@@ -3,6 +3,7 @@ package online
 import (
 	"testing"
 
+	"adiv/internal/alphabet"
 	"adiv/internal/detector/stide"
 	"adiv/internal/detector/tstide"
 	"adiv/internal/seq"
@@ -11,31 +12,42 @@ import (
 // TestCorroborateFreshPrimaryAfterOlderEscalation is the regression test for
 // the missed-escalation bug: when one push's veto window corroborates an
 // older pending primary, the fresh primary alarm raised by the same push
-// must still be checked against earlier veto windows. The old logic gated
-// that check on len(escalated) == 0, so the fresh primary stayed pending
-// and was later counted suppressed.
+// must escalate too. A past version gated the fresh primary's check on
+// nothing else having escalated, so it stayed pending and was later counted
+// suppressed.
 func TestCorroborateFreshPrimaryAfterOlderEscalation(t *testing.T) {
-	p := &VetoPipeline{primaryExtent: 2, vetoExtent: 2}
-	p.pending = []Alarm{{Position: 0}}
-	p.vetoCovered = []int{10}
-
-	// This push raises a primary at window 11 and a veto at window 1. The
-	// veto corroborates the old pending alarm at 0 (windows [0,2) and
-	// [1,3) overlap) but not the fresh primary at 11; the fresh primary
-	// instead overlaps the earlier veto window at 10 ([11,13) vs [10,12)).
-	escalated := p.corroborate(Alarm{Position: 11}, true, Alarm{Position: 1}, true)
-
+	// Primary (extent 2) alarms at windows 0 and 2; veto (extent 3) alarms
+	// at window 1 only. Push 4 completes both primary window 2 and veto
+	// window 1, which overlaps the pending primary 0 ([0,2) vs [1,4)) and
+	// the fresh primary 2 ([2,4)).
+	const n = 8
+	pipe, err := NewVetoPipeline(cannedAt("p", 2, n, 0, 2), cannedAt("v", 3, n, 1), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if esc, err := pipe.Push(0); err != nil || len(esc) != 0 {
+			t.Fatalf("push %d: escalated %+v, err %v before any veto alarm", i, esc, err)
+		}
+	}
+	escalated, err := pipe.Push(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(escalated) != 2 {
 		t.Fatalf("%d escalations, want 2 (old pending + fresh primary): %+v", len(escalated), escalated)
 	}
 	if escalated[0].Primary.Position != 0 || escalated[0].VetoPosition != 1 {
 		t.Errorf("first escalation %+v, want pending alarm 0 corroborated by veto window 1", escalated[0])
 	}
-	if escalated[1].Primary.Position != 11 || escalated[1].VetoPosition != 10 {
-		t.Errorf("second escalation %+v, want fresh primary 11 corroborated by veto window 10", escalated[1])
+	if escalated[1].Primary.Position != 2 || escalated[1].VetoPosition != 1 {
+		t.Errorf("second escalation %+v, want fresh primary 2 corroborated by veto window 1", escalated[1])
 	}
-	if len(p.pending) != 0 {
-		t.Errorf("pending %+v after full corroboration, want empty", p.pending)
+	if _, err := pipe.PushAll(make([]alphabet.Symbol, n-4)); err != nil {
+		t.Fatal(err)
+	}
+	if got := pipe.Suppressed(); got != 0 {
+		t.Errorf("Suppressed() = %d after full corroboration, want 0", got)
 	}
 }
 
@@ -44,11 +56,21 @@ func TestCorroborateFreshPrimaryAfterOlderEscalation(t *testing.T) {
 // same veto window also corroborates an older pending alarm. Both
 // escalations must surface from the single push.
 func TestCorroborateSamePushDoubleAlarm(t *testing.T) {
-	p := &VetoPipeline{primaryExtent: 3, vetoExtent: 3}
-	p.pending = []Alarm{{Position: 4}}
-
-	escalated := p.corroborate(Alarm{Position: 5}, true, Alarm{Position: 5}, true)
-
+	// Both extents 3. Primary alarms at windows 4 and 5, veto at 5 only:
+	// push 8 completes windows 5 of both, and veto window 5 overlaps the
+	// pending primary 4.
+	const n = 12
+	pipe, err := NewVetoPipeline(cannedAt("p", 3, n, 4, 5), cannedAt("v", 3, n, 5), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if esc, err := pipe.PushAll(make([]alphabet.Symbol, 7)); err != nil || len(esc) != 0 {
+		t.Fatalf("escalated %+v, err %v before the veto alarm", esc, err)
+	}
+	escalated, err := pipe.Push(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(escalated) != 2 {
 		t.Fatalf("%d escalations, want 2: %+v", len(escalated), escalated)
 	}
@@ -60,8 +82,11 @@ func TestCorroborateSamePushDoubleAlarm(t *testing.T) {
 	if escalated[0].Primary.Position != 4 || escalated[1].Primary.Position != 5 {
 		t.Errorf("escalated primaries %+v, want positions 4 and 5", escalated)
 	}
-	if len(p.pending) != 0 {
-		t.Errorf("pending %+v, want empty", p.pending)
+	if _, err := pipe.PushAll(make([]alphabet.Symbol, n-8)); err != nil {
+		t.Fatal(err)
+	}
+	if got := pipe.Suppressed(); got != 0 {
+		t.Errorf("Suppressed() = %d, want 0", got)
 	}
 }
 

@@ -158,6 +158,54 @@ func TestVetoPipelineJournalDispositions(t *testing.T) {
 	}
 }
 
+// TestVetoPipelineResetResolvesPending: Reset ends the stream, so a
+// candidate still awaiting corroboration is journaled as suppressed under
+// the old tenant and counted, and the recycled pipeline starts clean.
+func TestVetoPipelineResetResolvesPending(t *testing.T) {
+	// Primary window 3 (extent 2) alarms at the fifth push; the veto never
+	// does, and five pushes stay inside the expiry horizon.
+	const n = 5
+	pipe, err := NewVetoPipeline(cannedAt("p", 2, n, 3), cannedAt("v", 2, n), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	pipe.Instrument(reg)
+	var buf bytes.Buffer
+	pipe.SetJournal(obs.NewAlertJournal(&buf))
+	pipe.SetTenant("old")
+	for round := 1; round <= 2; round++ {
+		if esc, err := pipe.PushAll(make(seq.Stream, n)); err != nil || len(esc) != 0 {
+			t.Fatalf("round %d: escalated %+v, err %v", round, esc, err)
+		}
+		if got := pipe.Suppressed(); got != 0 {
+			t.Fatalf("round %d: Suppressed() = %d before Reset, want 0 (candidate pending)", round, got)
+		}
+		pipe.Reset()
+		if got := pipe.Suppressed(); got != 0 {
+			t.Errorf("round %d: Suppressed() = %d after Reset, want 0", round, got)
+		}
+		if got := reg.Counter("online/pipeline/suppressed").Value(); got != int64(round) {
+			t.Errorf("round %d: suppressed counter = %d, want %d", round, got, round)
+		}
+	}
+	recs, err := obs.ReadAlerts(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rec := range recs {
+		if rec.Tenant != "old" || rec.Position != 3 {
+			t.Errorf("record %+v, want tenant old at position 3", rec)
+		}
+		got = append(got, rec.Disposition)
+	}
+	want := []string{obs.DispositionRaised, obs.DispositionSuppressed, obs.DispositionRaised, obs.DispositionSuppressed}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("journal dispositions %v, want %v", got, want)
+	}
+}
+
 // TestScorerFamilyTelemetry pins the per-family sketch/counter names the
 // streaming layer registers and their consistency with the shared metrics.
 func TestScorerFamilyTelemetry(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -13,9 +14,12 @@ import (
 	"adiv/internal/alphabet"
 	"adiv/internal/detector"
 	"adiv/internal/detector/hmm"
+	"adiv/internal/detector/markovdet"
 	"adiv/internal/detector/nnet"
 	"adiv/internal/detector/stide"
 	"adiv/internal/gen"
+	"adiv/internal/inject"
+	"adiv/internal/obs"
 	"adiv/internal/online"
 	"adiv/internal/seq"
 )
@@ -140,14 +144,17 @@ func batchResponses(t testing.TB, g *gen.Generator, stream seq.Stream) []float64
 	return responses
 }
 
-// serveStreams pushes one stream per tenant through s concurrently, in
-// ragged batches that never align with window boundaries, closing each
-// tenant on its last batch, then drains s. It returns each tenant's
-// responses in order.
-func serveStreams(t *testing.T, s *Server, streams []seq.Stream) [][]float64 {
+// raggedBatch is the batch size serveBatches cuts streams into: it never
+// aligns with window boundaries.
+const raggedBatch = 97
+
+// serveBatches pushes one stream per tenant through s concurrently, in
+// raggedBatch-sized batches, closing each tenant on its last batch, then
+// drains s. It returns each tenant's batch results in order.
+func serveBatches(t *testing.T, s *Server, streams []seq.Stream) [][]Result {
 	t.Helper()
 	var wg sync.WaitGroup
-	got := make([][]float64, len(streams))
+	got := make([][]Result, len(streams))
 	events := 0
 	for i, stream := range streams {
 		events += len(stream)
@@ -155,14 +162,14 @@ func serveStreams(t *testing.T, s *Server, streams []seq.Stream) [][]float64 {
 		go func(i int, stream seq.Stream) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("tenant-%d", i)
-			for off := 0; off < len(stream); off += 97 {
-				end := min(off+97, len(stream))
+			for off := 0; off < len(stream); off += raggedBatch {
+				end := min(off+raggedBatch, len(stream))
 				res := submitWait(t, s, tenant, stream[off:end], end == len(stream))
 				if res.Err != nil {
 					t.Errorf("tenant %d: %v", i, res.Err)
 					return
 				}
-				got[i] = append(got[i], res.Responses...)
+				got[i] = append(got[i], res)
 			}
 		}(i, stream)
 	}
@@ -173,6 +180,19 @@ func serveStreams(t *testing.T, s *Server, streams []seq.Stream) [][]float64 {
 	}
 	if stats.Accepted != int64(events) {
 		t.Fatalf("accepted %d, want %d", stats.Accepted, events)
+	}
+	return got
+}
+
+// serveStreams is serveBatches returning each tenant's responses in order.
+func serveStreams(t *testing.T, s *Server, streams []seq.Stream) [][]float64 {
+	t.Helper()
+	batches := serveBatches(t, s, streams)
+	got := make([][]float64, len(batches))
+	for i, results := range batches {
+		for _, res := range results {
+			got[i] = append(got[i], res.Responses...)
+		}
 	}
 	return got
 }
@@ -220,6 +240,148 @@ func TestServingEquivalence(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// testMarkov is the rare-sensitive primary of the Section-7 pipeline.
+func testMarkov(t testing.TB, g *gen.Generator) detector.Detector {
+	t.Helper()
+	det, err := markovdet.New(testWindow)
+	return trainedOn(t, g, det, err)
+}
+
+// pipelineThreshold is the Markov primary's alarm threshold in the
+// pipeline tests: rare windows alarm, so the stide veto has work to do.
+const pipelineThreshold = 0.98
+
+// pipelinesOver returns a NewTenant hook of veto pipelines over one shared
+// primary and one shared veto model, journaling into j.
+func pipelinesOver(primary, veto detector.Detector, j *obs.AlertJournal) func() (TenantScorer, error) {
+	return func() (TenantScorer, error) {
+		p, err := online.NewVetoPipeline(primary, veto, pipelineThreshold, 1)
+		if err != nil {
+			return nil, err
+		}
+		p.SetJournal(j)
+		return PipelineTenant{P: p}, nil
+	}
+}
+
+// TestServingEquivalencePipeline is TestServingEquivalence for the served
+// Section-7 rule: each batch a PipelineTenant serves escalates exactly as
+// many alarms as a serial VetoPipeline fed the same batches, for every
+// shard count.
+func TestServingEquivalencePipeline(t *testing.T) {
+	g := testGen(t)
+	primary, veto := testMarkov(t, g), testStide(t, g)
+	// The noisy streams carry rare windows the primary alone alarms on; a
+	// canonical minimal foreign sequence planted at a per-tenant position
+	// gives the veto something to corroborate.
+	mfs, err := gen.CanonicalMFS(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([]seq.Stream, 6)
+	for i := range streams {
+		p, err := inject.At(g.Noisy(1_500, uint64(i)), mfs, 300+150*i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams[i] = p.Stream
+	}
+	want := make([][]int, len(streams))
+	total := 0
+	for i, stream := range streams {
+		p, err := online.NewVetoPipeline(primary, veto, pipelineThreshold, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(stream); off += raggedBatch {
+			esc, err := p.PushAll(stream[off:min(off+raggedBatch, len(stream))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], len(esc))
+			total += len(esc)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no stream escalated an alarm; the equivalence would be vacuous")
+	}
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := NewServer(Config{Shards: shards, QueueDepth: 8, NewTenant: pipelinesOver(primary, veto, nil)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, results := range serveBatches(t, s, streams) {
+				if len(results) != len(want[i]) {
+					t.Fatalf("tenant %d: %d batches, want %d", i, len(results), len(want[i]))
+				}
+				for b, res := range results {
+					if res.Responses != nil || res.Alarms != want[i][b] {
+						t.Fatalf("tenant %d batch %d: %d escalations (responses %v), serial pipeline %d",
+							i, b, res.Alarms, res.Responses, want[i][b])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestClosedPipelineResolvesPending: closing a tenant ends its stream, so
+// every candidate its primary raised is journaled as escalated or
+// suppressed — none stays pending in the journal forever.
+func TestClosedPipelineResolvesPending(t *testing.T) {
+	g := testGen(t)
+	primary, veto := testMarkov(t, g), testStide(t, g)
+	// Cut a noisy stream just after a push that leaves a candidate
+	// unresolved, found with a serial pipeline journaling on the side.
+	noisy := g.Noisy(3_000, 9)
+	j := obs.NewAlertJournal(nil)
+	p, err := online.NewVetoPipeline(primary, veto, pipelineThreshold, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetJournal(j)
+	cut := 0
+	for i, sym := range noisy {
+		if _, err := p.Push(sym); err != nil {
+			t.Fatal(err)
+		}
+		c := j.Counts()
+		if c[obs.DispositionRaised] > c[obs.DispositionEscalated]+c[obs.DispositionSuppressed] {
+			cut = i + 1
+			break
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no prefix of the stream leaves a candidate pending")
+	}
+
+	var buf bytes.Buffer
+	s, err := NewServer(Config{Shards: 2, NewTenant: pipelinesOver(primary, veto, obs.NewAlertJournal(&buf))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := submitWait(t, s, "closed", noisy[:cut], true); res.Err != nil || !res.Closed {
+		t.Fatalf("closing batch: err %v closed %v", res.Err, res.Closed)
+	}
+	s.Drain()
+	recs, err := obs.ReadAlerts(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, rec := range recs {
+		if rec.Tenant != "closed" {
+			t.Fatalf("record %+v journaled under another tenant", rec)
+		}
+		count[rec.Disposition]++
+	}
+	raised, esc, sup := count[obs.DispositionRaised], count[obs.DispositionEscalated], count[obs.DispositionSuppressed]
+	if raised == 0 || raised != esc+sup {
+		t.Fatalf("closed tenant journaled %d raised, %d escalated + %d suppressed", raised, esc, sup)
 	}
 }
 

@@ -5,15 +5,16 @@
 # rare sequence injected at a known position; assert the live /runz serving
 # counters, the ingest-latency p99 on /metrics, and one journaled alarm per
 # tenant at the injected position; then SIGTERM the daemon and require a
-# clean drain (accepted == scored, exit 0). CI runs this so the serving
-# path cannot silently rot between releases.
+# clean drain (accepted == scored, exit 0). A second leg serves the
+# Section-7 veto pipeline (markov primary, stide veto) and requires one
+# escalated journal record per tenant at the injected position, every
+# raised candidate resolved once the tenants close, and a clean drain. CI
+# runs this so the serving path cannot silently rot between releases.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
-stderr_log="$workdir/serve.stderr.ndjson"
-stdout_log="$workdir/serve.stdout.txt"
 alerts_file="$workdir/alerts.ndjson"
 pid=""
 cleanup() {
@@ -29,33 +30,66 @@ echo "building serve and serveload..."
 go build -o "$workdir/serve" ./cmd/serve
 go build -o "$workdir/serveload" ./cmd/serveload
 
-# A modest training stream keeps daemon startup fast; stide window 6 at
-# threshold 1 alarms only on windows containing foreign content, so the
-# injected minimal-foreign sequences are the expected alarms.
-"$workdir/serve" -train-len 20000 -detector stide -window 6 -threshold 1 \
-    -shards 4 -http 127.0.0.1:0 -tcp 127.0.0.1:0 -status 127.0.0.1:0 \
-    -alerts "$alerts_file" \
-    >"$stdout_log" 2>"$stderr_log" &
-pid=$!
-
-# run.start announces the bound addresses.
+# addr_of KEY: the address run.start announced under KEY.
 addr_of() {
     sed -n 's/.*"'"$1"'":"\([^"]*\)".*/\1/p' "$stderr_log" | head -n1
 }
-tcp_addr=""
-for _ in $(seq 1 100); do
-    tcp_addr=$(addr_of tcpAddr)
-    [[ -n "$tcp_addr" ]] && break
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "FAIL: serve exited before announcing addresses" >&2
-        cat "$stderr_log" >&2
+
+# start_serve LABEL ARGS...: start the daemon with ARGS, logging to
+# $workdir/LABEL.*, and wait for run.start to announce its TCP address.
+start_serve() {
+    local label=$1
+    shift
+    stderr_log="$workdir/$label.stderr.ndjson"
+    stdout_log="$workdir/$label.stdout.txt"
+    "$workdir/serve" "$@" >"$stdout_log" 2>"$stderr_log" &
+    pid=$!
+    tcp_addr=""
+    for _ in $(seq 1 100); do
+        tcp_addr=$(addr_of tcpAddr)
+        [[ -n "$tcp_addr" ]] && return 0
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "FAIL: serve ($label) exited before announcing addresses" >&2
+            cat "$stderr_log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    echo "FAIL: serve ($label) never announced a TCP address" >&2
+    cat "$stderr_log" >&2
+    exit 1
+}
+
+# drain_serve: SIGTERM must flush every accepted batch and exit 0.
+drain_serve() {
+    kill -TERM "$pid"
+    if ! wait "$pid"; then
+        echo "FAIL: serve exited nonzero after SIGTERM" >&2
+        cat "$stdout_log" "$stderr_log" >&2
         exit 1
     fi
-    sleep 0.1
-done
+    pid=""
+    if ! grep -q '^clean drain: ' "$stdout_log"; then
+        echo "FAIL: no clean-drain line in serve output:" >&2
+        cat "$stdout_log" >&2
+        exit 1
+    fi
+    grep '^clean drain: ' "$stdout_log"
+    if ! grep -q '"event":"serve.drained"' "$stderr_log"; then
+        echo "FAIL: serve.drained never announced" >&2
+        exit 1
+    fi
+}
+
+# A modest training stream keeps daemon startup fast; stide window 6 at
+# threshold 1 alarms only on windows containing foreign content, so the
+# injected minimal-foreign sequences are the expected alarms.
+start_serve stide -train-len 20000 -detector stide -window 6 -threshold 1 \
+    -shards 4 -http 127.0.0.1:0 -tcp 127.0.0.1:0 -status 127.0.0.1:0 \
+    -alerts "$alerts_file"
 http_addr=$(addr_of httpAddr)
 status_addr=$(addr_of statusAddr)
-if [[ -z "$tcp_addr" || -z "$http_addr" || -z "$status_addr" ]]; then
+if [[ -z "$http_addr" || -z "$status_addr" ]]; then
     echo "FAIL: missing addresses in run.start (http='$http_addr' tcp='$tcp_addr' status='$status_addr')" >&2
     cat "$stderr_log" >&2
     exit 1
@@ -126,24 +160,7 @@ if ! grep -q 'adiv_serve_ingest_latency{quantile="0.99"}' <<<"$metrics"; then
 fi
 echo "p99 on /metrics: $(grep 'adiv_serve_ingest_latency{quantile="0.99"}' <<<"$metrics")"
 
-# Graceful drain: SIGTERM must flush every accepted batch and exit 0.
-kill -TERM "$pid"
-if ! wait "$pid"; then
-    echo "FAIL: serve exited nonzero after SIGTERM" >&2
-    cat "$stdout_log" "$stderr_log" >&2
-    exit 1
-fi
-pid=""
-if ! grep -q '^clean drain: ' "$stdout_log"; then
-    echo "FAIL: no clean-drain line in serve output:" >&2
-    cat "$stdout_log" >&2
-    exit 1
-fi
-grep '^clean drain: ' "$stdout_log"
-if ! grep -q '"event":"serve.drained"' "$stderr_log"; then
-    echo "FAIL: serve.drained never announced" >&2
-    exit 1
-fi
+drain_serve
 # Journal sanity: only adiv.alerts/v1 lines, tenant-stamped.
 if grep -v '"schema":"adiv.alerts/v1"' "$alerts_file" | grep -q .; then
     echo "FAIL: journal contains non-v1 lines" >&2
@@ -153,4 +170,48 @@ if ! grep -q '"tenant":"load-0"' "$alerts_file"; then
     echo "FAIL: journal records are not tenant-stamped" >&2
     exit 1
 fi
+echo "stide leg OK"
+
+# Veto leg: the markov primary alarms on rare windows too, and only the
+# ones the stide veto corroborates escalate. Each tenant's injected
+# sequence must escalate, and closing the tenants resolves every candidate.
+veto_alerts="$workdir/veto-alerts.ndjson"
+start_serve veto -train-len 20000 -detector markov -window 6 -threshold 0.98 \
+    -veto stide -shards 4 -tcp 127.0.0.1:0 -alerts "$veto_alerts"
+echo "veto pipeline up: tcp $tcp_addr"
+inject_pos=5000
+if ! "$workdir/serveload" -tcp "$tcp_addr" -tenants 3 -events 10000 -batch 256 \
+    -inject-size 6 -inject-pos "$inject_pos" -window 6 \
+    >"$workdir/veto-load.txt" 2>"$workdir/veto-load.stderr"; then
+    echo "FAIL: serveload against the veto pipeline failed" >&2
+    cat "$workdir/veto-load.txt" "$workdir/veto-load.stderr" >&2
+    exit 1
+fi
+drain_serve
+# The same detection span serveload -verify-journal uses: the injection
+# plus one window of slack on each side.
+lo=$((inject_pos - 6))
+hi=$((inject_pos + 6 + 6))
+for i in 0 1 2; do
+    tenant_recs=$(grep '"tenant":"load-'"$i"'"' "$veto_alerts" || true)
+    count() { grep -c '"disposition":"'"$1"'"' <<<"$tenant_recs" || true; }
+    found=0
+    for p in $(grep '"disposition":"escalated"' <<<"$tenant_recs" | sed -n 's/.*"position":\([0-9]*\).*/\1/p'); do
+        if ((p >= lo && p <= hi)); then
+            found=$((found + 1))
+        fi
+    done
+    if ((found == 0)); then
+        echo "FAIL: tenant load-$i: no escalated record in [$lo,$hi]" >&2
+        exit 1
+    fi
+    raised=$(count raised)
+    escalated=$(count escalated)
+    suppressed=$(count suppressed)
+    if ((raised != escalated + suppressed)); then
+        echo "FAIL: tenant load-$i: $raised raised != $escalated escalated + $suppressed suppressed after close" >&2
+        exit 1
+    fi
+    echo "tenant load-$i: $found escalated in [$lo,$hi]; $raised raised = $escalated escalated + $suppressed suppressed"
+done
 echo "serve smoke OK"
