@@ -331,9 +331,11 @@ func BenchmarkAblationNNEpochs(b *testing.B) {
 
 // BenchmarkStreamingScore measures the online scoring adapter: "stream" is
 // a whole-stream PushAll including scorer construction (comparable to
-// BenchmarkDetectorScore/stide), "push" is the steady-state per-symbol hot
-// path, which must not allocate at all — the benchmark asserts the
-// zero-alloc contract outright, like BenchmarkWindowCursor.
+// BenchmarkDetectorScore/stide), "push" is the steady-state per-symbol
+// path (a batch of one), and "batch" is the served shape, 256-symbol
+// PushBatch calls into a presized dst. Neither steady-state path may
+// allocate at all — the benchmark asserts the zero-alloc contract
+// outright, like BenchmarkWindowCursor.
 func BenchmarkStreamingScore(b *testing.B) {
 	corpus := benchCorpus(b)
 	det := trainedDetector(b, adiv.DetectorStide, 8)
@@ -378,6 +380,37 @@ func BenchmarkStreamingScore(b *testing.B) {
 			}
 		}
 		b.SetBytes(1)
+	})
+	b.Run("batch", func(b *testing.B) {
+		const size = 256
+		scorer, err := adiv.NewStreamScorer(det)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batches := len(stream) / size
+		dst := make([]float64, 0, size)
+		// One pass grows the stream's buffer to the batch size.
+		for k := 0; k < batches; k++ {
+			if _, err := scorer.PushBatch(stream[k*size:(k+1)*size], dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := scorer.PushBatch(stream[:size], dst); err != nil {
+				b.Fatal(err)
+			}
+		}); allocs != 0 {
+			b.Fatalf("steady-state batch push allocates %v times, want 0", allocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % batches
+			if _, err := scorer.PushBatch(stream[k*size:(k+1)*size], dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(size)
 	})
 }
 

@@ -343,10 +343,13 @@ func (c *httpClient) push(tenant string, syms seq.Stream, closeAfter bool) error
 func (c *httpClient) close() {}
 
 // verifyJournal checks the daemon's alert journal for the injected
-// anomalies: every tenant must have at least one raised or escalated record
-// positioned within the injection's detection span (the anomaly plus one
-// window of slack on each side — a window that overlaps the foreign content
-// starts up to window-1 elements before it).
+// anomalies: every tenant must have at least one detection positioned
+// within the injection's detection span (the anomaly plus one window of
+// slack on each side — a window that overlaps the foreign content starts
+// up to window-1 elements before it). A raised record is a detection unless
+// the tenant's journal later resolves that position as suppressed (a veto
+// daemon's uncorroborated candidate); escalated records resolve a raised
+// candidate the other way and add no detection of their own.
 func verifyJournal(w io.Writer, path string, tenants, pos, size, window int) error {
 	recs, err := obs.ReadAlertsFile(path)
 	if err != nil {
@@ -356,17 +359,24 @@ func verifyJournal(w io.Writer, path string, tenants, pos, size, window int) err
 	missing := 0
 	for i := 0; i < tenants; i++ {
 		tenant := fmt.Sprintf("load-%d", i)
-		found := 0
+		// Raised candidates in the span not (yet) suppressed, by position.
+		open := map[int]int{}
 		for _, rec := range recs {
-			if rec.Tenant != tenant {
+			if rec.Tenant != tenant || rec.Position < lo || rec.Position > hi {
 				continue
 			}
-			if rec.Disposition != obs.DispositionRaised && rec.Disposition != obs.DispositionEscalated {
-				continue
+			switch rec.Disposition {
+			case obs.DispositionRaised:
+				open[rec.Position]++
+			case obs.DispositionSuppressed:
+				if open[rec.Position] > 0 {
+					open[rec.Position]--
+				}
 			}
-			if rec.Position >= lo && rec.Position <= hi {
-				found++
-			}
+		}
+		found := 0
+		for _, n := range open {
+			found += n
 		}
 		if found == 0 {
 			fmt.Fprintf(w, "verify: tenant %s: NO alarm in [%d,%d]\n", tenant, lo, hi)

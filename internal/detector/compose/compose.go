@@ -180,19 +180,20 @@ func newStagedStream(inner detector.Detector, st stage) (detector.Stream, error)
 	return &stagedStream{inner: s, st: st}, nil
 }
 
-// stagedStream is a decorator's stream: inner's ready responses through
-// the stage.
+// stagedStream is a decorator's stream: the responses inner appends, each
+// through the stage in order.
 type stagedStream struct {
 	inner detector.Stream
 	st    stage
 }
 
-func (s *stagedStream) Step(sym alphabet.Symbol) (float64, bool, error) {
-	r, ready, err := s.inner.Step(sym)
-	if err != nil || !ready {
-		return 0, false, err
+func (s *stagedStream) Push(syms []alphabet.Symbol, dst []float64) ([]float64, error) {
+	n := len(dst)
+	dst, err := s.inner.Push(syms, dst)
+	for i := n; i < len(dst); i++ {
+		dst[i] = s.st.next(dst[i])
 	}
-	return s.st.next(r), true, nil
+	return dst, err
 }
 
 func (s *stagedStream) Reset() {

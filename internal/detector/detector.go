@@ -42,11 +42,11 @@ type Detector interface {
 	// than Extent().
 	Score(test seq.Stream) ([]float64, error)
 	// NewStream returns fresh per-stream state over the trained model:
-	// stepping a stream through it symbol by symbol yields exactly Score's
-	// responses, bit for bit. It returns ErrNotTrained before Train. The
-	// stream owns all of its mutable state and the model is read-only
-	// after training, so one trained detector serves any number of
-	// streams on any goroutines (retraining while streams are live is a
+	// pushing a stream through it, in batches of any sizes, yields exactly
+	// Score's responses, bit for bit. It returns ErrNotTrained before
+	// Train. The stream owns all of its mutable state and the model is
+	// read-only after training, so one trained detector serves any number
+	// of streams on any goroutines (retraining while streams are live is a
 	// data race).
 	NewStream() (Stream, error)
 }
@@ -55,17 +55,18 @@ type Detector interface {
 // stream. It is not safe for concurrent use; distinct streams of one
 // detector are independent.
 type Stream interface {
-	// Step feeds the next symbol. ready is false until the symbols fed
-	// cover one extent; from then on every step yields the response of
-	// the window ending at sym.
-	Step(sym alphabet.Symbol) (r float64, ready bool, err error)
+	// Push feeds the next symbols in order and appends to dst the response
+	// of every window the batch completes: none until the symbols fed
+	// cover one extent, then one per symbol, the window ending at it.
+	// A per-symbol caller pushes batches of one. On error dst holds the
+	// responses appended before the failing window.
+	Push(syms []alphabet.Symbol, dst []float64) ([]float64, error)
 	// Reset returns the stream to its just-constructed state.
 	Reset()
 }
 
 // Fold is the batch Score of a detector whose scoring primitive is its
-// Stream: one fresh stream stepped over the whole test stream, keeping
-// every ready response.
+// Stream: the whole test stream pushed through one fresh stream.
 func Fold(d Detector, test seq.Stream) ([]float64, error) {
 	s, err := d.NewStream()
 	if err != nil {
@@ -74,15 +75,9 @@ func Fold(d Detector, test seq.Stream) ([]float64, error) {
 	if err := CheckScorable(true, d.Extent(), test); err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, seq.NumWindows(len(test), d.Extent()))
-	for _, sym := range test {
-		r, ready, err := s.Step(sym)
-		if err != nil {
-			return nil, err
-		}
-		if ready {
-			out = append(out, r)
-		}
+	out, err := s.Push(test, make([]float64, 0, seq.NumWindows(len(test), d.Extent())))
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

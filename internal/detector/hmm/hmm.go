@@ -223,7 +223,16 @@ func (b *belief) Reset() {
 	b.started = false
 }
 
-func (b *belief) Step(sym alphabet.Symbol) (float64, bool, error) {
+// Push runs the one-symbol belief update over the batch: every symbol
+// completes a window of extent 1.
+func (b *belief) Push(syms []alphabet.Symbol, dst []float64) ([]float64, error) {
+	for _, sym := range syms {
+		dst = append(dst, b.step(sym))
+	}
+	return dst, nil
+}
+
+func (b *belief) step(sym alphabet.Symbol) float64 {
 	d, n := b.d, b.d.n
 	cur, next := b.cur, b.next
 	o := int(sym)
@@ -266,7 +275,7 @@ func (b *belief) Step(sym alphabet.Symbol) (float64, bool, error) {
 		// initial distribution and keep scoring.
 		copy(cur, d.pi)
 	}
-	return 1 - math.Min(1, p), true, nil
+	return 1 - math.Min(1, p)
 }
 
 // PredictiveProb returns the model's one-step predictive probabilities for

@@ -119,13 +119,9 @@ func fold(t *testing.T, d *Detector, test seq.Stream) []float64 {
 		t.Fatal(err)
 	}
 	var out []float64
-	for _, sym := range test {
-		r, ready, err := st.Step(sym)
-		if err != nil {
+	for i := range test {
+		if out, err = st.Push(test[i:i+1], out); err != nil {
 			t.Fatal(err)
-		}
-		if ready {
-			out = append(out, r)
 		}
 	}
 	return out

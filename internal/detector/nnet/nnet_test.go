@@ -465,13 +465,9 @@ func TestOutOfAlphabetContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed []float64
-	for _, sym := range test {
-		r, ready, err := st.Step(sym)
-		if err != nil {
+	for i := range test {
+		if streamed, err = st.Push(test[i:i+1], streamed); err != nil {
 			t.Fatal(err)
-		}
-		if ready {
-			streamed = append(streamed, r)
 		}
 	}
 	if len(streamed) != len(got) {

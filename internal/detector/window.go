@@ -1,6 +1,8 @@
 package detector
 
 import (
+	"slices"
+
 	"adiv/internal/alphabet"
 	"adiv/internal/seq"
 )
@@ -44,54 +46,72 @@ func ScoreWindows(k WindowByteScorer, trained bool, extent int, test seq.Stream)
 	if err := CheckScorable(trained, extent, test); err != nil {
 		return nil, err
 	}
-	b := test.Bytes()
-	out := make([]float64, seq.NumWindows(len(test), extent))
-	for i := range out {
-		r, err := k.ScoreWindowBytes(b[i : i+extent])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+	out, err := scoreWindows(k, extent, test.Bytes(), make([]float64, 0, seq.NumWindows(len(test), extent)))
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// NewWindowStream is the NewStream of every window family: the last
-// extent symbols over the kernel.
+// scoreWindows is the window families' one scoring loop, shared by batch
+// Score and the window stream: it appends the kernel's response to every
+// extent-length window of b, in order.
+func scoreWindows(k WindowByteScorer, extent int, b []byte, dst []float64) ([]float64, error) {
+	m := len(b) - extent + 1
+	if m <= 0 {
+		return dst, nil
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, m)[:base+m]
+	out := dst[base:]
+	for i := range out {
+		r, err := k.ScoreWindowBytes(b[i : i+extent])
+		if err != nil {
+			return dst[:base+i], err
+		}
+		out[i] = r
+	}
+	return dst, nil
+}
+
+// NewWindowStream is the NewStream of every window family: a byte buffer
+// over the kernel.
 func NewWindowStream(k WindowByteScorer, trained bool, extent int) (Stream, error) {
 	if !trained {
 		return nil, ErrNotTrained
 	}
-	return &windowStream{k: k, extent: extent, buf: make([]byte, 2*extent)}, nil
+	return &windowStream{k: k, extent: extent, buf: make([]byte, 0, extent)}, nil
 }
 
-// windowStream keeps each symbol twice, at its ring slot and one extent
-// further on, so the current window is always the contiguous
-// buf[pos : pos+extent] and a step costs O(1) instead of a slide.
+// windowStream keeps the stream's tail, its last min(seen, extent-1)
+// symbols, at the front of buf. A push encodes the batch right after the
+// tail and scores [tail|batch] with ScoreWindows' loop, so every window it
+// completes is one contiguous subslice; then the new tail moves to the
+// front. buf grows to the largest batch pushed plus the tail and is reused
+// from then on.
 type windowStream struct {
 	k      WindowByteScorer
 	extent int
 	buf    []byte
-	pos    int // ring slot of the next symbol: the start of the window
-	filled int // symbols held, up to extent
+	tail   int // symbols held at the front of buf
 }
 
-func (s *windowStream) Step(sym alphabet.Symbol) (float64, bool, error) {
-	s.buf[s.pos] = byte(sym)
-	s.buf[s.pos+s.extent] = byte(sym)
-	if s.pos++; s.pos == s.extent {
-		s.pos = 0
+func (s *windowStream) Push(syms []alphabet.Symbol, dst []float64) ([]float64, error) {
+	n := s.tail + len(syms)
+	if n > cap(s.buf) {
+		s.buf = append(s.buf[:s.tail], make([]byte, len(syms))...)
 	}
-	if s.filled < s.extent {
-		if s.filled++; s.filled < s.extent {
-			return 0, false, nil
-		}
+	b := s.buf[:n]
+	for i, sym := range syms {
+		b[s.tail+i] = byte(sym)
 	}
-	r, err := s.k.ScoreWindowBytes(s.buf[s.pos : s.pos+s.extent])
+	dst, err := scoreWindows(s.k, s.extent, b, dst)
 	if err != nil {
-		return 0, false, err
+		return dst, err
 	}
-	return r, true, nil
+	s.tail = min(n, s.extent-1)
+	copy(b, b[n-s.tail:])
+	return dst, nil
 }
 
-func (s *windowStream) Reset() { s.pos, s.filled = 0, 0 }
+func (s *windowStream) Reset() { s.tail = 0 }

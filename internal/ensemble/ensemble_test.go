@@ -32,7 +32,7 @@ func (s *scripted) Score(test seq.Stream) ([]float64, error) {
 	return out, nil
 }
 
-// NewStream replays the canned responses one window at a time, so the
+// NewStream replays the canned responses window by window, so the
 // streaming fold behind Suppress sees exactly what Score returns.
 func (s *scripted) NewStream() (detector.Stream, error) {
 	if !s.trained {
@@ -47,16 +47,19 @@ type replay struct {
 	fed int
 }
 
-func (r *replay) Step(alphabet.Symbol) (float64, bool, error) {
-	r.fed++
-	i := r.fed - r.s.extent
-	switch {
-	case i < 0:
-		return 0, false, nil
-	case i < len(r.s.responses):
-		return r.s.responses[i], true, nil
+func (r *replay) Push(syms []alphabet.Symbol, dst []float64) ([]float64, error) {
+	for range syms {
+		r.fed++
+		i := r.fed - r.s.extent
+		switch {
+		case i < 0:
+		case i < len(r.s.responses):
+			dst = append(dst, r.s.responses[i])
+		default:
+			dst = append(dst, 0)
+		}
 	}
-	return 0, true, nil
+	return dst, nil
 }
 
 func (r *replay) Reset() { r.fed = 0 }

@@ -1,15 +1,18 @@
 // Package online adapts the batch detectors to streaming deployment: push
-// one symbol at a time, receive the detector's response for each window as
-// it completes — the shape a production intrusion-detection pipeline
+// symbols as they arrive, receive the detector's response for each window
+// as it completes — the shape a production intrusion-detection pipeline
 // consumes, and the shape the paper's detectors originally ran in.
 //
 // A Scorer is one detector.Stream over the detector's trained, read-only
 // model, plus a response ring and telemetry. Every detector family derives
 // its batch Score and its stream from one scoring primitive, so a Scorer's
 // output is element-for-element identical to scoring the whole stream in
-// one batch call (a property the tests pin bit for bit). Each push costs
-// one window-kernel call or one belief update; for the detectors in this
-// repository that is a handful of map lookups or a small matrix product.
+// one batch call, however the stream is split into pushes (a property the
+// tests pin bit for bit). The one push primitive is PushBatch: a batch
+// costs one stream call, one window-kernel call or belief update per
+// symbol, and one round of per-call telemetry (push_latency is observed
+// once per call). Push and PushAll are a batch of one and a batch of the
+// whole slice.
 package online
 
 import (
@@ -42,11 +45,16 @@ type Scorer struct {
 	ring  [responseRingLen]float64
 	ringN int
 
+	// sym and resp carry a batch of one for the per-symbol wrappers; as
+	// fields they cost no allocation per push.
+	sym  [1]alphabet.Symbol
+	resp [1]float64
+
 	// Telemetry handles; nil when uninstrumented (the default), costing a
 	// single pointer test per push.
 	symbols       *obs.Counter
 	lastResponse  *obs.Gauge
-	pushLatency   *obs.Sketch  // per-push wall latency, seconds
+	pushLatency   *obs.Sketch  // per-call wall latency, seconds
 	responsesQ    *obs.Sketch  // per-family response quantiles
 	responseCount *obs.Counter // per-family responses, the watchdog's pulse
 }
@@ -54,12 +62,13 @@ type Scorer struct {
 // Instrument records streaming telemetry into reg: the online/symbols
 // pushed counter, the online/last_response live gauge (what a /metrics
 // scrape of a long-lived streaming deployment reads as "the detector's
-// current output"), and the per-family detection-quality sketches — online/push_latency/<family>
-// (per-push wall latency in seconds) and online/responses_q/<family>
-// (response quantiles) — plus the online/responses/<family> counter the
-// silent-detector watchdog rule watches. A nil registry disables
-// instrumentation. All telemetry preserves the zero-allocation
-// steady-state push contract.
+// current output"), and the per-family detection-quality sketches —
+// online/push_latency/<family> (wall latency in seconds, observed once per
+// push call, so a PushBatch of any size is one observation) and
+// online/responses_q/<family> (response quantiles) — plus the
+// online/responses/<family> counter the silent-detector watchdog rule
+// watches. A nil registry disables instrumentation. All telemetry
+// preserves the zero-allocation steady-state push contract.
 func (s *Scorer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		s.symbols, s.lastResponse = nil, nil
@@ -112,14 +121,20 @@ func (s *Scorer) Reset() {
 	s.ring = [responseRingLen]float64{}
 }
 
-// record books a completed window's response into the ring and telemetry.
-func (s *Scorer) record(r float64) {
-	s.ring[s.ringN%responseRingLen] = r
-	s.ringN++
-	if s.responsesQ != nil {
-		s.lastResponse.Set(r)
-		s.responsesQ.Observe(r)
-		s.responseCount.Inc()
+// record books a batch's responses into the ring (only the last
+// responseRingLen can survive) and, when instrumented, into telemetry.
+func (s *Scorer) record(rs []float64) {
+	if s.responsesQ != nil && len(rs) > 0 {
+		s.lastResponse.Set(rs[len(rs)-1])
+		s.responsesQ.ObserveAll(rs)
+		s.responseCount.Add(int64(len(rs)))
+	}
+	if len(rs) > responseRingLen {
+		rs = rs[len(rs)-responseRingLen:]
+	}
+	for _, r := range rs {
+		s.ring[s.ringN%responseRingLen] = r
+		s.ringN++
 	}
 }
 
@@ -140,54 +155,52 @@ func (s *Scorer) Recent(dst []float64) []float64 {
 	return dst
 }
 
-// Push feeds one symbol. Once the pushes cover a full extent, every push
-// yields the response for the window ending at this symbol; ready is false
-// during the initial fill. Instrumented scorers additionally observe the
-// push's wall latency into the per-family latency sketch (time.Now and
-// Sketch.Observe both allocate nothing, so the steady-state contract
-// holds).
-func (s *Scorer) Push(sym alphabet.Symbol) (response float64, ready bool, err error) {
-	if s.pushLatency == nil {
-		return s.push(sym)
+// PushBatch feeds syms in order and appends to dst the response of every
+// window the batch completes: none during the initial fill, then one per
+// symbol, the window ending at it. It is the Scorer's one push primitive:
+// one stream call, and for instrumented scorers one online/symbols add and
+// one push_latency observation per call (time.Now and the telemetry
+// updates allocate nothing). With a dst of sufficient capacity a
+// steady-state push performs zero allocations.
+func (s *Scorer) PushBatch(syms []alphabet.Symbol, dst []float64) ([]float64, error) {
+	var start time.Time
+	if s.pushLatency != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	response, ready, err = s.push(sym)
-	s.pushLatency.Observe(time.Since(start).Seconds())
-	return response, ready, err
-}
-
-func (s *Scorer) push(sym alphabet.Symbol) (response float64, ready bool, err error) {
-	s.seen++
-	if s.symbols != nil {
-		s.symbols.Inc()
+	n := len(dst)
+	s.seen += len(syms)
+	s.symbols.Add(int64(len(syms)))
+	dst, err := s.stream.Push(syms, dst)
+	s.record(dst[n:])
+	if s.pushLatency != nil {
+		s.pushLatency.Observe(time.Since(start).Seconds())
 	}
-	r, ready, err := s.stream.Step(sym)
 	if err != nil {
-		return 0, false, fmt.Errorf("online: %w", err)
+		return dst, fmt.Errorf("online: %w", err)
 	}
-	if ready {
-		s.record(r)
-	}
-	return r, ready, nil
+	return dst, nil
 }
 
-// PushAll feeds a whole slice and returns the responses produced, one per
-// completed window — identical to the detector's batch Score of the same
-// data when the Scorer starts empty. The response slice is sized once on
-// the first completed window, the call's only allocation.
+// Push feeds one symbol, a batch of one. Once the pushes cover a full
+// extent, every push yields the response for the window ending at this
+// symbol; ready is false during the initial fill.
+func (s *Scorer) Push(sym alphabet.Symbol) (response float64, ready bool, err error) {
+	s.sym[0] = sym
+	out, err := s.PushBatch(s.sym[:], s.resp[:0])
+	if err != nil || len(out) == 0 {
+		return 0, false, err
+	}
+	return out[0], true, nil
+}
+
+// PushAll feeds a whole slice as one batch and returns the responses
+// produced, one per completed window (nil when none completes) —
+// identical to the detector's batch Score of the same data when the Scorer
+// starts empty.
 func (s *Scorer) PushAll(stream seq.Stream) ([]float64, error) {
-	var out []float64
-	for i, sym := range stream {
-		r, ready, err := s.Push(sym)
-		if err != nil {
-			return nil, err
-		}
-		if ready {
-			if out == nil {
-				out = make([]float64, 0, len(stream)-i)
-			}
-			out = append(out, r)
-		}
+	out, err := s.PushBatch(stream, make([]float64, 0, len(stream)))
+	if err != nil || len(out) == 0 {
+		return nil, err
 	}
 	return out, nil
 }
@@ -218,6 +231,10 @@ type Alarmer struct {
 	// tenant stamps journal records in multi-tenant deployments; empty in
 	// the single-stream drivers, which keeps their journal lines unchanged.
 	tenant string
+
+	// raised holds the alarms of the latest PushBatch call, in order, for
+	// the Push and PushAll wrappers; reused across calls.
+	raised []Alarm
 }
 
 // Instrument records streaming telemetry into reg: the underlying scorer's
@@ -275,25 +292,32 @@ func NewAlarmer(det detector.Detector, threshold float64) (*Alarmer, error) {
 	return &Alarmer{scorer: scorer, threshold: threshold, lastAlarmPos: -1}, nil
 }
 
-// Push feeds one symbol and reports whether it completed an alarming
-// window; if so the returned alarm describes it.
-func (a *Alarmer) Push(sym alphabet.Symbol) (Alarm, bool, error) {
-	_, _, alarm, raised, err := a.PushScored(sym)
-	return alarm, raised, err
+// PushBatch feeds syms through the scorer (Scorer.PushBatch), appending
+// the responses to dst, and thresholds the appended responses in order:
+// each one at or above the threshold raises an alarm at its window start.
+// It returns dst and the number of alarms raised; a failed push raises
+// none.
+func (a *Alarmer) PushBatch(syms []alphabet.Symbol, dst []float64) ([]float64, int, error) {
+	n := len(dst)
+	dst, err := a.scorer.PushBatch(syms, dst)
+	a.raised = a.raised[:0]
+	if err != nil {
+		return dst, 0, err
+	}
+	// The last appended response is the window starting extent symbols
+	// before the end of the stream so far.
+	first := a.scorer.seen - a.scorer.extent - (len(dst) - n - 1)
+	for i, r := range dst[n:] {
+		if r >= a.threshold {
+			a.raise(Alarm{Position: first + i, Response: r})
+		}
+	}
+	return dst, len(a.raised), nil
 }
 
-// PushScored feeds one symbol and returns both the window response (the
-// serving tier replies with responses whether or not they alarm) and any
-// alarm it raised. ready is false during the initial window fill.
-func (a *Alarmer) PushScored(sym alphabet.Symbol) (response float64, ready bool, alarm Alarm, raised bool, err error) {
-	r, ready, err := a.scorer.Push(sym)
-	if err != nil || !ready || r < a.threshold {
-		return r, ready, Alarm{}, false, err
-	}
-	alarm = Alarm{
-		Position: a.scorer.Seen() - a.scorer.extent,
-		Response: r,
-	}
+// raise books one alarm: counters, inter-arrival, journal.
+func (a *Alarmer) raise(alarm Alarm) {
+	a.raised = append(a.raised, alarm)
 	if a.alarms != nil {
 		a.alarms.Inc()
 		a.alarmsFam.Inc()
@@ -310,22 +334,40 @@ func (a *Alarmer) PushScored(sym alphabet.Symbol) (response float64, ready bool,
 		Threshold:   a.threshold,
 		Disposition: obs.DispositionRaised,
 	})
-	return r, true, alarm, true, nil
 }
 
-// PushAll feeds a slice and collects the alarms raised.
-func (a *Alarmer) PushAll(stream seq.Stream) ([]Alarm, error) {
-	var out []Alarm
-	for _, sym := range stream {
-		alarm, raised, err := a.Push(sym)
-		if err != nil {
-			return nil, err
-		}
-		if raised {
-			out = append(out, alarm)
-		}
+// Push feeds one symbol and reports whether it completed an alarming
+// window; if so the returned alarm describes it.
+func (a *Alarmer) Push(sym alphabet.Symbol) (Alarm, bool, error) {
+	_, _, alarm, raised, err := a.PushScored(sym)
+	return alarm, raised, err
+}
+
+// PushScored feeds one symbol, a batch of one, and returns both the window
+// response (the serving tier replies with responses whether or not they
+// alarm) and any alarm it raised. ready is false during the initial window
+// fill.
+func (a *Alarmer) PushScored(sym alphabet.Symbol) (response float64, ready bool, alarm Alarm, raised bool, err error) {
+	s := a.scorer
+	s.sym[0] = sym
+	out, alarms, err := a.PushBatch(s.sym[:], s.resp[:0])
+	if err != nil || len(out) == 0 {
+		return 0, false, Alarm{}, false, err
 	}
-	return out, nil
+	if alarms == 0 {
+		return out[0], true, Alarm{}, false, nil
+	}
+	return out[0], true, a.raised[0], true, nil
+}
+
+// PushAll feeds a slice as one batch and collects the alarms raised (nil
+// when none).
+func (a *Alarmer) PushAll(stream seq.Stream) ([]Alarm, error) {
+	_, alarms, err := a.PushBatch(stream, make([]float64, 0, len(stream)))
+	if err != nil || alarms == 0 {
+		return nil, err
+	}
+	return append([]Alarm(nil), a.raised...), nil
 }
 
 // Reset clears the underlying scorer and the alarm inter-arrival state.

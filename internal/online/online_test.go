@@ -1,10 +1,14 @@
 package online
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"adiv/internal/alphabet"
 	"adiv/internal/detector"
@@ -203,9 +207,131 @@ func TestPushUntrainedMatchesReference(t *testing.T) {
 	}
 }
 
+// randomSplits cuts n symbols into batch sizes drawn from 0..3·extent,
+// every third batch a batch of one.
+func randomSplits(src *rng.Source, n, extent int) []int {
+	var sizes []int
+	for n > 0 {
+		k := 1
+		if len(sizes)%3 != 0 {
+			k = src.Intn(3*extent + 1)
+		}
+		k = min(k, n)
+		sizes = append(sizes, k)
+		n -= k
+	}
+	return sizes
+}
+
+// alarmThreshold is a threshold in (0,1] some of the responses reach when
+// any is positive: their 90th percentile, capped at 1.
+func alarmThreshold(responses []float64) float64 {
+	sorted := slices.Clone(responses)
+	slices.Sort(sorted)
+	if th := sorted[len(sorted)*9/10]; th > 0 {
+		return min(th, 1)
+	}
+	return 1
+}
+
+// journaledAlarmer is an Alarmer journaling into buf under a fixed clock,
+// so two Alarmers raising the same alarms write the same bytes.
+func journaledAlarmer(det detector.Detector, threshold float64, buf *bytes.Buffer) (*Alarmer, error) {
+	a, err := NewAlarmer(det, threshold)
+	if err != nil {
+		return nil, err
+	}
+	j := obs.NewAlertJournal(buf)
+	j.SetClock(func() time.Time { return time.Unix(0, 0).UTC() })
+	a.SetJournal(j)
+	return a, nil
+}
+
+// splitMatchesBatch pushes test in batches of the given sizes through a
+// fresh Scorer, which must yield batch Score's responses bit for bit, and
+// through a fresh Alarmer, which must raise the alarms and journal the
+// records of a per-symbol Alarmer over the same stream. It returns the
+// number of alarms compared.
+func splitMatchesBatch(det detector.Detector, test seq.Stream, sizes []int) (int, string) {
+	batch, err := det.Score(test)
+	if err != nil {
+		return 0, "Score: " + err.Error()
+	}
+	scorer, err := NewScorer(det)
+	if err != nil {
+		return 0, "NewScorer: " + err.Error()
+	}
+	var got []float64
+	off := 0
+	for _, k := range sizes {
+		if got, err = scorer.PushBatch(test[off:off+k], got); err != nil {
+			return 0, "PushBatch: " + err.Error()
+		}
+		off += k
+	}
+	if len(got) != len(batch) {
+		return 0, fmt.Sprintf("PushBatch gave %d responses, Score %d", len(got), len(batch))
+	}
+	for i := range batch {
+		if math.Float64bits(got[i]) != math.Float64bits(batch[i]) {
+			return 0, fmt.Sprintf("response %d: PushBatch %v, Score %v", i, got[i], batch[i])
+		}
+	}
+	if recent, tail := scorer.Recent(nil), batch[max(0, len(batch)-responseRingLen):]; !slices.Equal(recent, tail) {
+		return 0, fmt.Sprintf("Recent %v, want the last %d responses %v", recent, len(tail), tail)
+	}
+
+	th := alarmThreshold(batch)
+	var perSymJournal, splitJournal bytes.Buffer
+	perSym, err := journaledAlarmer(det, th, &perSymJournal)
+	if err != nil {
+		return 0, err.Error()
+	}
+	split, err := journaledAlarmer(det, th, &splitJournal)
+	if err != nil {
+		return 0, err.Error()
+	}
+	var want, alarms []Alarm
+	for _, sym := range test {
+		alarm, raised, err := perSym.Push(sym)
+		if err != nil {
+			return 0, "Push: " + err.Error()
+		}
+		if raised {
+			want = append(want, alarm)
+		}
+	}
+	off = 0
+	for _, k := range sizes {
+		_, n, err := split.PushBatch(test[off:off+k], nil)
+		if err != nil {
+			return 0, "Alarmer.PushBatch: " + err.Error()
+		}
+		alarms = append(alarms, split.raised[:n]...)
+		off += k
+	}
+	var thresholded []Alarm
+	for i, r := range batch {
+		if r >= th {
+			thresholded = append(thresholded, Alarm{Position: i, Response: r})
+		}
+	}
+	if !slices.Equal(want, thresholded) {
+		return 0, fmt.Sprintf("per-symbol Push alarms %v, thresholded Score %v", want, thresholded)
+	}
+	if !slices.Equal(alarms, want) {
+		return 0, fmt.Sprintf("PushBatch alarms %v, per-symbol Push %v", alarms, want)
+	}
+	if !bytes.Equal(splitJournal.Bytes(), perSymJournal.Bytes()) {
+		return 0, fmt.Sprintf("journals differ:\n%s\nvs per-symbol\n%s", splitJournal.String(), perSymJournal.String())
+	}
+	return len(want), ""
+}
+
 // TestStreamingMatchesBatch pins the core equivalence for every family and
-// decorator: pushing a stream symbol by symbol yields the batch Score of
-// the same stream, bit for bit.
+// decorator: pushing a stream symbol by symbol, as one batch, or split at
+// random into batches of 0..3·extent symbols yields the batch Score of the
+// same stream, bit for bit, and the same alarms and journal records.
 func TestStreamingMatchesBatch(t *testing.T) {
 	tests := []seq.Stream{
 		mk(0, 1, 2, 3, 0, 1, 3, 3, 2, 1, 0, 1, 2, 3),
@@ -214,10 +340,22 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 	for i, det := range trainedCases(t) {
 		t.Run(streamCases()[i].name, func(t *testing.T) {
+			alarms := 0
 			for j, test := range tests {
 				if ok, why := streamMatchesBatch(det, test); !ok {
 					t.Errorf("stream %d: %s", j, why)
 				}
+				for seed := uint64(1); seed <= 4; seed++ {
+					sizes := randomSplits(rng.New(seed), len(test), det.Extent())
+					n, why := splitMatchesBatch(det, test, sizes)
+					if why != "" {
+						t.Errorf("stream %d, split seed %d: %s", j, seed, why)
+					}
+					alarms += n
+				}
+			}
+			if alarms == 0 {
+				t.Error("no stream raised an alarm; the alarm comparison is vacuous")
 			}
 		})
 	}
@@ -383,8 +521,8 @@ func TestPushObservedUnwraps(t *testing.T) {
 }
 
 // TestPushSteadyStateAllocs is the regression guard for the streaming hot
-// path: once the window is full, a push allocates nothing — for every
-// family and decorator, instrumented or not.
+// path: once the window is full, a push or a batch into a presized dst
+// allocates nothing — for every family and decorator, instrumented.
 func TestPushSteadyStateAllocs(t *testing.T) {
 	cases := streamCases()
 	for i, det := range trainedCases(t) {
@@ -405,6 +543,21 @@ func TestPushSteadyStateAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s: steady-state push allocated %.2f times, want 0", cases[i].name, allocs)
+		}
+		// A batch into a presized dst allocates nothing either, once the
+		// stream's buffer has grown to the batch.
+		batch := randStream(6, 256, 8)
+		dst := make([]float64, 0, len(batch))
+		if _, err := s.PushBatch(batch, dst); err != nil {
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(50, func() {
+			if _, err := s.PushBatch(batch, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state PushBatch allocated %.2f times, want 0", cases[i].name, allocs)
 		}
 	}
 }

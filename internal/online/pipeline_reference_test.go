@@ -12,7 +12,7 @@ import (
 )
 
 // canned is a detector whose responses are fixed in advance: Score returns
-// them and NewStream replays them one window at a time, so a test controls
+// them and NewStream replays them window by window, so a test controls
 // exactly which windows alarm.
 type canned struct {
 	name      string
@@ -34,12 +34,14 @@ type cannedStream struct {
 	fed int
 }
 
-func (s *cannedStream) Step(alphabet.Symbol) (float64, bool, error) {
-	s.fed++
-	if i := s.fed - s.c.extent; i >= 0 {
-		return s.c.responses[i], true, nil
+func (s *cannedStream) Push(syms []alphabet.Symbol, dst []float64) ([]float64, error) {
+	for range syms {
+		s.fed++
+		if i := s.fed - s.c.extent; i >= 0 {
+			dst = append(dst, s.c.responses[i])
+		}
 	}
-	return 0, false, nil
+	return dst, nil
 }
 
 func (s *cannedStream) Reset() { s.fed = 0 }

@@ -67,6 +67,7 @@ type Server struct {
 	free    []TenantScorer // Reset scorers of closed tenants, reused LIFO
 
 	draining atomic.Bool
+	ended    sync.Once // Drain ends the open tenants' streams once
 
 	// acceptedN / scoredN back the drain invariant (accepted == scored
 	// after Drain) independently of the optional registry.
@@ -306,11 +307,21 @@ func (s *Server) Stats() Stats {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops intake and flushes every accepted batch: after it returns,
-// accepted == scored and all shard workers have exited. Transports must stop
-// feeding Submit first (they get ErrDraining regardless). Idempotent —
-// concurrent callers all block until the flush completes.
+// accepted == scored and all shard workers have exited. It then ends every
+// still-open tenant's stream through Reset, as a close would, so a veto
+// pipeline resolves its unanswered candidates as suppressed rather than
+// leaving them pending in the journal. Transports must stop feeding Submit
+// first (they get ErrDraining regardless). Idempotent — concurrent callers
+// all block until the flush completes.
 func (s *Server) Drain() Stats {
 	s.draining.Store(true)
 	s.router.close()
+	s.ended.Do(func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, st := range s.tenants {
+			st.sc.Reset()
+		}
+	})
 	return s.Stats()
 }

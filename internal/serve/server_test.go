@@ -329,14 +329,11 @@ func TestServingEquivalencePipeline(t *testing.T) {
 	}
 }
 
-// TestClosedPipelineResolvesPending: closing a tenant ends its stream, so
-// every candidate its primary raised is journaled as escalated or
-// suppressed — none stays pending in the journal forever.
-func TestClosedPipelineResolvesPending(t *testing.T) {
-	g := testGen(t)
-	primary, veto := testMarkov(t, g), testStide(t, g)
-	// Cut a noisy stream just after a push that leaves a candidate
-	// unresolved, found with a serial pipeline journaling on the side.
+// pendingPrefix cuts a noisy stream just after a push that leaves a
+// primary candidate unresolved, found with a serial pipeline journaling on
+// the side.
+func pendingPrefix(t *testing.T, g *gen.Generator, primary, veto detector.Detector) seq.Stream {
+	t.Helper()
 	noisy := g.Noisy(3_000, 9)
 	j := obs.NewAlertJournal(nil)
 	p, err := online.NewVetoPipeline(primary, veto, pipelineThreshold, 1)
@@ -344,45 +341,76 @@ func TestClosedPipelineResolvesPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetJournal(j)
-	cut := 0
 	for i, sym := range noisy {
 		if _, err := p.Push(sym); err != nil {
 			t.Fatal(err)
 		}
 		c := j.Counts()
 		if c[obs.DispositionRaised] > c[obs.DispositionEscalated]+c[obs.DispositionSuppressed] {
-			cut = i + 1
-			break
+			return noisy[:i+1]
 		}
 	}
-	if cut == 0 {
-		t.Fatal("no prefix of the stream leaves a candidate pending")
-	}
+	t.Fatal("no prefix of the stream leaves a candidate pending")
+	return nil
+}
 
-	var buf bytes.Buffer
-	s, err := NewServer(Config{Shards: 2, NewTenant: pipelinesOver(primary, veto, obs.NewAlertJournal(&buf))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := submitWait(t, s, "closed", noisy[:cut], true); res.Err != nil || !res.Closed {
-		t.Fatalf("closing batch: err %v closed %v", res.Err, res.Closed)
-	}
-	s.Drain()
-	recs, err := obs.ReadAlerts(&buf)
+// checkResolved reads a pipeline journal holding one tenant's records and
+// checks that every candidate raised was escalated or suppressed.
+func checkResolved(t *testing.T, journal *bytes.Buffer, tenant string) {
+	t.Helper()
+	recs, err := obs.ReadAlerts(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := map[string]int{}
 	for _, rec := range recs {
-		if rec.Tenant != "closed" {
+		if rec.Tenant != tenant {
 			t.Fatalf("record %+v journaled under another tenant", rec)
 		}
 		count[rec.Disposition]++
 	}
 	raised, esc, sup := count[obs.DispositionRaised], count[obs.DispositionEscalated], count[obs.DispositionSuppressed]
 	if raised == 0 || raised != esc+sup {
-		t.Fatalf("closed tenant journaled %d raised, %d escalated + %d suppressed", raised, esc, sup)
+		t.Fatalf("tenant %s journaled %d raised, %d escalated + %d suppressed", tenant, raised, esc, sup)
 	}
+}
+
+// TestClosedPipelineResolvesPending: closing a tenant ends its stream, so
+// every candidate its primary raised is journaled as escalated or
+// suppressed — none stays pending in the journal forever.
+func TestClosedPipelineResolvesPending(t *testing.T) {
+	g := testGen(t)
+	primary, veto := testMarkov(t, g), testStide(t, g)
+	prefix := pendingPrefix(t, g, primary, veto)
+	var buf bytes.Buffer
+	s, err := NewServer(Config{Shards: 2, NewTenant: pipelinesOver(primary, veto, obs.NewAlertJournal(&buf))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := submitWait(t, s, "closed", prefix, true); res.Err != nil || !res.Closed {
+		t.Fatalf("closing batch: err %v closed %v", res.Err, res.Closed)
+	}
+	s.Drain()
+	checkResolved(t, &buf, "closed")
+}
+
+// TestDrainedPipelineResolvesPending: a drain ends the stream of every
+// tenant still open, so a pipeline tenant that never closed resolves its
+// pending candidates too.
+func TestDrainedPipelineResolvesPending(t *testing.T) {
+	g := testGen(t)
+	primary, veto := testMarkov(t, g), testStide(t, g)
+	prefix := pendingPrefix(t, g, primary, veto)
+	var buf bytes.Buffer
+	s, err := NewServer(Config{Shards: 2, NewTenant: pipelinesOver(primary, veto, obs.NewAlertJournal(&buf))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := submitWait(t, s, "open", prefix, false); res.Err != nil || res.Closed {
+		t.Fatalf("open batch: err %v closed %v", res.Err, res.Closed)
+	}
+	s.Drain()
+	checkResolved(t, &buf, "open")
 }
 
 // twinTenant scores one stream with two scorers of equal extent, so both
@@ -651,7 +679,10 @@ func TestRecycledTenantIsClean(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	s.Drain()
+	// The scorer is read before Drain, which ends the open tenant's stream;
+	// submitWait has already seen the batch's callback, so the read is
+	// ordered after the worker's push.
+	defer s.Drain()
 	if len(created) != 1 {
 		t.Fatalf("NewTenant called %d times, want 1 (the closed scorer recycled)", len(created))
 	}

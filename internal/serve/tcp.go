@@ -93,12 +93,26 @@ func (t *TCPServer) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64*1024)
 	max := t.srv.MaxFrameBytes()
 
+	// frame and body are the connection's reply buffers, reused under wmu:
+	// conn.Write returns before the lock is released, so no write still
+	// reads a buffer the next reply overwrites.
 	var wmu sync.Mutex
+	var frame, body []byte
 	var outstanding sync.WaitGroup
+	write := func(f Frame) { // wmu held
+		frame = AppendFrame(frame[:0], f)
+		conn.Write(frame) //nolint:errcheck // reader sees the broken conn
+	}
 	writeFrame := func(f Frame) {
 		wmu.Lock()
 		defer wmu.Unlock()
-		conn.Write(AppendFrame(nil, f)) //nolint:errcheck // reader sees the broken conn
+		write(f)
+	}
+	writeScores := func(typ uint8, tenant string, accepted, alarms int, responses []float64) {
+		wmu.Lock()
+		defer wmu.Unlock()
+		body = AppendScoresBody(body[:0], accepted, alarms, responses)
+		write(Frame{Type: typ, Tenant: tenant, Body: body})
 	}
 
 	for {
@@ -145,11 +159,7 @@ func (t *TCPServer) handle(conn net.Conn) {
 				if quiet {
 					responses = nil
 				}
-				writeFrame(Frame{
-					Type:   typ,
-					Tenant: tenant,
-					Body:   AppendScoresBody(nil, len(syms), res.Alarms, responses),
-				})
+				writeScores(typ, tenant, len(syms), res.Alarms, responses)
 			})
 			if err != nil {
 				outstanding.Done()

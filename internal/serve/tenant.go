@@ -41,22 +41,10 @@ type AlarmerTenant struct {
 	A *online.Alarmer
 }
 
+// PushBatch allocates the responses afresh for every batch: Result.Responses
+// outlives the worker's callback in the transports.
 func (t AlarmerTenant) PushBatch(syms []alphabet.Symbol) ([]float64, int, error) {
-	responses := make([]float64, 0, len(syms))
-	alarms := 0
-	for _, sym := range syms {
-		r, ready, _, raised, err := t.A.PushScored(sym)
-		if err != nil {
-			return responses, alarms, err
-		}
-		if ready {
-			responses = append(responses, r)
-		}
-		if raised {
-			alarms++
-		}
-	}
-	return responses, alarms, nil
+	return t.A.PushBatch(syms, make([]float64, 0, len(syms)))
 }
 
 func (t AlarmerTenant) SetTenant(tenant string) { t.A.SetTenant(tenant) }
