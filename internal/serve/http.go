@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net/http"
 )
@@ -18,7 +17,16 @@ const maxRequestLine = 1 << 20
 // stops the batch, and the status code reports the first failure: 400 for a
 // malformed line, 429 when the tenant's shard is saturated (the processed
 // prefix is still returned, so the client resumes from the rejected line),
-// 503 while draining.
+// 500 for a scoring error or a response JSON cannot carry (NaN, ±Inf), 503
+// while draining.
+//
+// The codec does no reflection per symbol or per response. ParsePushRequest
+// leaves the request object (keys, escapes, duplicate and unknown fields) to
+// encoding/json but reads the symbols array straight from its bytes, and
+// AppendPushResponse writes each response line by hand, with encoding/json
+// quoting only its two strings. Two fuzz oracles hold the codec to
+// encoding/json: FuzzNDJSONRequest against json.Unmarshal, FuzzPushResponse
+// against json.Marshal.
 func NewHTTPHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/push", func(w http.ResponseWriter, r *http.Request) {
@@ -27,9 +35,10 @@ func NewHTTPHandler(s *Server) http.Handler {
 			return
 		}
 		status := http.StatusOK
-		var out bytes.Buffer
+		var out []byte
 		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), maxRequestLine)
+		// No preallocated buffer: the scanner grows only to the longest line.
+		sc.Buffer(nil, maxRequestLine)
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
 			if len(line) == 0 {
@@ -38,7 +47,7 @@ func NewHTTPHandler(s *Server) http.Handler {
 			req, err := ParsePushRequest(line)
 			if err != nil {
 				status = http.StatusBadRequest
-				appendResponseLine(&out, PushResponse{Error: err.Error()})
+				out = appendErrorLine(out, PushResponse{Error: err.Error()})
 				break
 			}
 			res, err := s.submitAndWait(req)
@@ -51,7 +60,7 @@ func NewHTTPHandler(s *Server) http.Handler {
 				default:
 					status = http.StatusBadRequest
 				}
-				appendResponseLine(&out, PushResponse{Tenant: req.Tenant, Error: err.Error()})
+				out = appendErrorLine(out, PushResponse{Tenant: req.Tenant, Error: err.Error()})
 				break
 			}
 			resp := PushResponse{
@@ -67,18 +76,23 @@ func NewHTTPHandler(s *Server) http.Handler {
 				resp.Error = res.Err.Error()
 				status = http.StatusInternalServerError
 			}
-			appendResponseLine(&out, resp)
+			if out, err = AppendPushResponse(out, resp); err != nil {
+				resp.Responses, resp.Error = nil, err.Error()
+				out = appendErrorLine(out, resp)
+				status = http.StatusInternalServerError
+				break
+			}
 			if res.Err != nil {
 				break
 			}
 		}
 		if err := sc.Err(); err != nil && status == http.StatusOK {
 			status = http.StatusBadRequest
-			appendResponseLine(&out, PushResponse{Error: err.Error()})
+			out = appendErrorLine(out, PushResponse{Error: err.Error()})
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(status)
-		w.Write(out.Bytes()) //nolint:errcheck // client gone; nothing to do
+		w.Write(out) //nolint:errcheck // client gone; nothing to do
 	})
 	return mux
 }
@@ -94,11 +108,9 @@ func (s *Server) submitAndWait(req PushRequest) (Result, error) {
 	return <-ch, nil
 }
 
-func appendResponseLine(out *bytes.Buffer, resp PushResponse) {
-	data, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	out.Write(data)
-	out.WriteByte('\n')
+// appendErrorLine appends a response line that carries no responses, which
+// AppendPushResponse always encodes.
+func appendErrorLine(out []byte, resp PushResponse) []byte {
+	out, _ = AppendPushResponse(out, resp)
+	return out
 }

@@ -7,12 +7,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"adiv/internal/alphabet"
 )
@@ -221,12 +223,21 @@ type PushResponse struct {
 
 // ParsePushRequest parses and validates one NDJSON request line. Symbols are
 // range-checked against the wire byte (0..255) here; the alphabet-size check
-// belongs to the server, which knows the trained model.
+// belongs to the server, which knows the trained model. encoding/json decodes
+// the object (keys, case-folding, escapes, duplicate and unknown fields);
+// the symbols array decodes through symbolList, with no reflection per
+// symbol.
 func ParsePushRequest(line []byte) (PushRequest, error) {
-	var req PushRequest
-	if err := json.Unmarshal(line, &req); err != nil {
+	var wire struct {
+		Tenant  string     `json:"tenant"`
+		Symbols symbolList `json:"symbols"`
+		Close   bool       `json:"close"`
+		Quiet   bool       `json:"quiet"`
+	}
+	if err := json.Unmarshal(line, &wire); err != nil {
 		return PushRequest{}, fmt.Errorf("serve: bad request line: %w", err)
 	}
+	req := PushRequest{Tenant: wire.Tenant, Symbols: wire.Symbols, Close: wire.Close, Quiet: wire.Quiet}
 	if req.Tenant == "" {
 		return PushRequest{}, errors.New("serve: request missing tenant")
 	}
@@ -239,6 +250,152 @@ func ParsePushRequest(line []byte) (PushRequest, error) {
 		}
 	}
 	return req, nil
+}
+
+// errSymbols rejects a symbols value that is not an array of integers.
+var errSymbols = errors.New("serve: symbols must be an array of integers")
+
+// symbolList decodes a JSON array of integers straight from its bytes, with
+// encoding/json's []int semantics: null as the whole value is a nil slice,
+// [] is an empty one, a null element leaves that element as it was, and a
+// repeated key decodes over the storage of the previous slice. Anything but
+// an integer or null element is an error.
+type symbolList []int
+
+func (s *symbolList) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*s = nil
+		return nil
+	}
+	if len(b) == 0 || b[0] != '[' {
+		return errSymbols
+	}
+	i := skipSpace(b, 1)
+	if i < len(b) && b[i] == ']' {
+		*s = symbolList{}
+		return nil
+	}
+	// Every element after the first follows its own comma, so the comma
+	// count bounds the elements and the slice is sized once.
+	buf := (*s)[:cap(*s)]
+	if n := bytes.Count(b, []byte{','}) + 1; n > len(buf) {
+		buf = append(make([]int, 0, n), buf...)[:n]
+	}
+	for k := 0; ; {
+		if bytes.HasPrefix(b[i:], []byte("null")) {
+			i += 4
+		} else {
+			var ok bool
+			if buf[k], i, ok = parseInt(b, i); !ok {
+				return errSymbols
+			}
+		}
+		k++
+		if i = skipSpace(b, i); i < len(b) && b[i] == ']' {
+			*s = buf[:k]
+			return nil
+		}
+		if i >= len(b) || b[i] != ',' {
+			return errSymbols
+		}
+		i = skipSpace(b, i+1)
+	}
+}
+
+// skipSpace returns the index of the first non-whitespace byte at or after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// parseInt reads the digits of a JSON integer at b[i:] and returns its
+// value with the index after them. It fails on no digits or on a value
+// beyond int, which encoding/json rejects for an int too; a fraction or an
+// exponent stops the digits, and the caller rejects it as a bad separator.
+func parseInt(b []byte, i int) (int, int, bool) {
+	neg := i < len(b) && b[i] == '-'
+	limit := uint64(math.MaxInt)
+	if neg {
+		i++
+		limit++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if u > (limit-d)/10 {
+			return 0, 0, false
+		}
+		u = u*10 + d
+	}
+	if neg {
+		u = -u
+	}
+	return int(u), i, i > start
+}
+
+// AppendPushResponse appends resp as one NDJSON line to dst: exactly the
+// bytes json.Marshal(resp) writes, then '\n'. It is the NDJSON counterpart of
+// AppendScoresBody. JSON has no NaN or Inf, so a non-finite response is an
+// error, and dst is then returned unchanged.
+func AppendPushResponse(dst []byte, resp PushResponse) ([]byte, error) {
+	for i, r := range resp.Responses {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return dst, fmt.Errorf("serve: response %d is %v, which JSON cannot encode", i, r)
+		}
+	}
+	dst = append(dst, `{"tenant":`...)
+	dst = appendJSONString(dst, resp.Tenant)
+	dst = append(dst, `,"accepted":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Accepted), 10)
+	if resp.Alarms != 0 {
+		dst = append(dst, `,"alarms":`...)
+		dst = strconv.AppendInt(dst, int64(resp.Alarms), 10)
+	}
+	if len(resp.Responses) > 0 {
+		dst = append(dst, `,"responses":[`...)
+		for i, r := range resp.Responses {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONFloat(dst, r)
+		}
+		dst = append(dst, ']')
+	}
+	if resp.Closed {
+		dst = append(dst, `,"closed":true`...)
+	}
+	if resp.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = appendJSONString(dst, resp.Error)
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// appendJSONString appends s quoted and escaped as json.Marshal writes it.
+func appendJSONString(dst []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(dst, q...)
+}
+
+// appendJSONFloat appends a finite f as json.Marshal writes a float64: the
+// shortest round-trip form, in exponent form below 1e-6 and from 1e21 up.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// encoding/json writes e-7 where strconv writes e-07.
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // SymbolsOf converts a validated request's symbols to the alphabet type.

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -196,30 +199,106 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
+// FuzzNDJSONRequest holds ParsePushRequest to its reference: json.Unmarshal
+// into PushRequest plus the tenant and symbol range rules. Acceptance and
+// every decoded field must agree, nil versus empty Symbols included.
 func FuzzNDJSONRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"t0","symbols":[0,1,2]}`))
 	f.Add([]byte(`{"tenant":"t0","close":true}`))
 	f.Add([]byte(`{"tenant":"","symbols":[300]}`))
 	f.Add([]byte(`{`))
+	f.Add([]byte(`{"tenant":"t","symbols":null}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[]}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[1,null,-0]}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[1.0]}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[1e2]}`))
+	f.Add([]byte(`{"tenant":"t","symbols":["1"]}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[true,[1],{}]}`))
+	f.Add([]byte(`{"tenant":"t","symbols":-1}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[99999999999999999999]}`))
+	f.Add([]byte(`{"tenant":"t","SYMBOLS":[7],"Tenant":"u","QUIET":true}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[1,2,3],"symbols":[4],"symbols":[null,null,null]}`))
+	f.Add([]byte(`{"tenant":"t","symbols":[5],"symbols":[]}`))
+	f.Add([]byte(" { \"tenant\" : \"t\\u0041\" ,\n\"symbols\" :\t[ 1 ,\r2 ] , \"extra\":[1.5] } "))
 	f.Fuzz(func(t *testing.T, line []byte) {
+		var want PushRequest
+		wantErr := json.Unmarshal(line, &want)
+		if wantErr == nil && (want.Tenant == "" || len(want.Tenant) > 255) {
+			wantErr = errors.New("tenant rule")
+		}
+		for _, s := range want.Symbols {
+			if wantErr == nil && (s < 0 || s > 255) {
+				wantErr = errors.New("range rule")
+			}
+		}
 		req, err := ParsePushRequest(line)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ParsePushRequest err = %v, reference err = %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		if req.Tenant == "" || len(req.Tenant) > 255 {
-			t.Fatalf("accepted invalid tenant %q", req.Tenant)
+		if !reflect.DeepEqual(req, want) {
+			t.Fatalf("decoded %#v, reference %#v", req, want)
 		}
 		syms := SymbolsOf(req)
 		if len(syms) != len(req.Symbols) {
 			t.Fatalf("symbol conversion lost events: %d != %d", len(syms), len(req.Symbols))
 		}
 		for i, s := range req.Symbols {
-			if s < 0 || s > 255 {
-				t.Fatalf("accepted out-of-range symbol %d", s)
-			}
 			if int(syms[i]) != s {
 				t.Fatalf("symbol %d mangled: %d -> %d", i, s, syms[i])
 			}
+		}
+	})
+}
+
+// FuzzPushResponse holds AppendPushResponse to json.Marshal: for finite
+// responses it writes the same bytes plus '\n'; a non-finite one is an error
+// that leaves dst as it was. Responses come in as little-endian float64 bits.
+func FuzzPushResponse(f *testing.F) {
+	bits := func(fs ...float64) []byte {
+		var b []byte
+		for _, x := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add("t0", "", 3, 0, false, bits(0, 0.5, 1))
+	f.Add("<a&b>", "bad \"line\"\n\t\x01\x7f", 0, 0, true, []byte(nil))
+	f.Add("\xff\xfe\u2028\u2029", "\b\f\\", -1, 2, false, bits(math.Copysign(0, -1), 1e-7, 1e21))
+	f.Add("t", "e", 1<<40, -7, true, bits(9.999999999999999e-7, 1e-6, 999999999999999900000, 5e-324, math.MaxFloat64))
+	f.Add("t", "", 1, 0, false, bits(0.6046602879796196, -123456.789, 1.2345678901234567e-300))
+	f.Add("t", "", 1, 0, false, bits(math.NaN()))
+	f.Add("t", "", 1, 0, false, bits(1, math.Inf(-1)))
+	f.Fuzz(func(t *testing.T, tenant, msg string, accepted, alarms int, closed bool, raw []byte) {
+		resp := PushResponse{Tenant: tenant, Accepted: accepted, Alarms: alarms, Closed: closed, Error: msg}
+		finite := true
+		for i := 0; i+8 <= len(raw); i += 8 {
+			r := math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+			finite = finite && !math.IsNaN(r) && !math.IsInf(r, 0)
+			resp.Responses = append(resp.Responses, r)
+		}
+		prefix := []byte("prev\n")
+		got, err := AppendPushResponse(prefix, resp)
+		if !finite {
+			if err == nil {
+				t.Fatalf("non-finite responses encoded: %q", got)
+			}
+			if !bytes.Equal(got, prefix) {
+				t.Fatalf("failed encode changed dst: %q", got)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(append([]byte("prev\n"), want...), '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("encoded\n%q\njson.Marshal\n%q", got, want)
 		}
 	})
 }

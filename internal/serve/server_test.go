@@ -511,24 +511,8 @@ func TestBackpressureStalledShard(t *testing.T) {
 	flowing := tenantOnShard(t, s, 1)
 	syms := []alphabet.Symbol{0, 1, 2, 3}
 
-	// Occupy shard 0's worker with a task that blocks until released.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	if err := s.Submit(stalled, syms, false, func(Result) {
-		close(started)
-		<-release
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	// Fill shard 0's queue to its bound...
-	for i := 0; i < depth; i++ {
-		if err := s.Submit(stalled, syms, false, func(Result) {}); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	// ...after which submissions reject instantly instead of blocking.
+	release := stallShard(t, s, stalled, depth)
+	// Submissions to the stalled shard reject instantly instead of blocking.
 	done := make(chan error, 1)
 	go func() { done <- s.Submit(stalled, syms, false, func(Result) {}) }()
 	select {
@@ -550,6 +534,29 @@ func TestBackpressureStalledShard(t *testing.T) {
 		}
 	}
 	close(release)
+}
+
+// stallShard occupies the worker of tenant's shard with a task that blocks
+// until the returned channel is closed, then fills that shard's queue of
+// the given depth.
+func stallShard(t *testing.T, s *Server, tenant string, depth int) chan<- struct{} {
+	t.Helper()
+	syms := []alphabet.Symbol{0, 1, 2, 3}
+	started := make(chan struct{})
+	release := make(chan struct{})
+	if err := s.Submit(tenant, syms, false, func(Result) {
+		close(started)
+		<-release
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	for i := 0; i < depth; i++ {
+		if err := s.Submit(tenant, syms, false, func(Result) {}); err != nil {
+			t.Fatalf("fill %d: %v", i, err)
+		}
+	}
+	return release
 }
 
 // TestDrainZeroLoss is the shutdown invariant: Drain mid-load loses no

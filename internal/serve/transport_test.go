@@ -4,16 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"adiv/internal/alphabet"
 	"adiv/internal/seq"
 )
 
@@ -112,6 +115,182 @@ func TestHTTPPushRejections(t *testing.T) {
 	s.Drain()
 	if rec := post(`{"tenant":"t","symbols":[1]}`); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining: status %d", rec.Code)
+	}
+}
+
+// stubTenant answers each symbol with its own value, NaN for symbol nanSym,
+// and fails the whole batch on symbol failSym.
+type stubTenant struct{}
+
+const nanSym, failSym = 7, 9
+
+func (stubTenant) PushBatch(syms []alphabet.Symbol) ([]float64, int, error) {
+	out := make([]float64, len(syms))
+	for i, s := range syms {
+		switch s {
+		case nanSym:
+			out[i] = math.NaN()
+		case failSym:
+			return nil, 0, errors.New("stub: scoring failed")
+		default:
+			out[i] = float64(s)
+		}
+	}
+	return out, 0, nil
+}
+
+func (stubTenant) SetTenant(string) {}
+func (stubTenant) Reset()           {}
+
+// TestHTTPPushPartialFailure posts multi-line bodies that fail partway: the
+// lines before the failure are answered, the failing line is answered with
+// its error, the status names the failure, and no later line is submitted.
+func TestHTTPPushPartialFailure(t *testing.T) {
+	// In bodies and wanted tenants, %[1]s routes to shard 0 and %[2]s to
+	// shard 1.
+	cases := []struct {
+		name     string
+		body     string
+		stall    bool // occupy shard 0's worker and fill its queue first
+		status   int
+		want     []PushResponse // Error: a substring the line's error must hold
+		accepted int64          // events the body got accepted
+		busy     int64
+	}{
+		{
+			name: "malformed third line",
+			body: `{"tenant":"%[1]s","symbols":[1,2]}
+{"tenant":"%[2]s","symbols":[3]}
+{"tenant":"%[1]s","symbols":[1.5]}
+{"tenant":"%[1]s","symbols":[4]}`,
+			status: http.StatusBadRequest,
+			want: []PushResponse{
+				{Tenant: "%[1]s", Accepted: 2, Responses: []float64{1, 2}},
+				{Tenant: "%[2]s", Accepted: 1, Responses: []float64{3}},
+				{Error: "bad request line"},
+			},
+			accepted: 3,
+		},
+		{
+			name: "busy second line",
+			body: `{"tenant":"%[2]s","symbols":[1]}
+{"tenant":"%[1]s","symbols":[2]}
+{"tenant":"%[2]s","symbols":[3]}`,
+			stall:  true,
+			status: http.StatusTooManyRequests,
+			want: []PushResponse{
+				{Tenant: "%[2]s", Accepted: 1, Responses: []float64{1}},
+				{Tenant: "%[1]s", Error: ErrBusy.Error()},
+			},
+			accepted: 1,
+			busy:     1,
+		},
+		{
+			name: "scoring error on the second line",
+			body: `{"tenant":"%[1]s","symbols":[1]}
+{"tenant":"%[1]s","symbols":[2,9]}
+{"tenant":"%[1]s","symbols":[3]}`,
+			status: http.StatusInternalServerError,
+			want: []PushResponse{
+				{Tenant: "%[1]s", Accepted: 1, Responses: []float64{1}},
+				{Tenant: "%[1]s", Accepted: 2, Error: "stub: scoring failed"},
+			},
+			accepted: 3,
+		},
+		{
+			name: "non-finite response on the second line",
+			body: `{"tenant":"%[2]s","symbols":[1]}
+{"tenant":"%[2]s","symbols":[2,7],"close":true}
+{"tenant":"%[2]s","symbols":[3]}`,
+			status: http.StatusInternalServerError,
+			want: []PushResponse{
+				{Tenant: "%[2]s", Accepted: 1, Responses: []float64{1}},
+				{Tenant: "%[2]s", Accepted: 2, Closed: true, Error: "JSON cannot encode"},
+			},
+			accepted: 3,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const depth = 1
+			s, err := NewServer(Config{
+				Shards:     2,
+				QueueDepth: depth,
+				NewTenant:  func() (TenantScorer, error) { return stubTenant{}, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Drain()
+			tenants := []any{tenantOnShard(t, s, 0), tenantOnShard(t, s, 1)}
+			if tc.stall {
+				release := stallShard(t, s, tenants[0].(string), depth)
+				defer close(release)
+			}
+			before := s.Stats()
+
+			rec := httptest.NewRecorder()
+			h := NewHTTPHandler(s)
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/push",
+				strings.NewReader(fmt.Sprintf(tc.body, tenants...))))
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body)
+			}
+			lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+			if len(lines) != len(tc.want) {
+				t.Fatalf("%d response lines, want %d: %s", len(lines), len(tc.want), rec.Body)
+			}
+			for i, want := range tc.want {
+				var got PushResponse
+				if err := json.Unmarshal([]byte(lines[i]), &got); err != nil {
+					t.Fatalf("line %d %q: %v", i+1, lines[i], err)
+				}
+				if want.Tenant != "" {
+					want.Tenant = fmt.Sprintf(want.Tenant, tenants...)
+				}
+				if (got.Error == "") != (want.Error == "") || !strings.Contains(got.Error, want.Error) {
+					t.Fatalf("line %d error %q, want one holding %q", i+1, got.Error, want.Error)
+				}
+				got.Error, want.Error = "", ""
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("line %d = %+v, want %+v", i+1, got, want)
+				}
+			}
+			after := s.Stats()
+			if n := after.Accepted - before.Accepted; n != tc.accepted {
+				t.Fatalf("%d events accepted, want %d", n, tc.accepted)
+			}
+			if n := after.Busy - before.Busy; n != tc.busy {
+				t.Fatalf("%d busy rejections, want %d", n, tc.busy)
+			}
+		})
+	}
+}
+
+// BenchmarkHTTPPush drives one http-churn style session through the HTTP
+// handler per iteration: four 64-event lines for one tenant, the last with
+// close, so every iteration opens a recycled stream.
+func BenchmarkHTTPPush(b *testing.B) {
+	g := testGen(b)
+	s := newTestServer(b, 1, 8, 0)
+	defer s.Drain()
+	h := NewHTTPHandler(s)
+	stream := g.Noisy(4*64, 5)
+	var body []byte
+	for i := 0; i < 4; i++ {
+		line, err := json.Marshal(PushRequest{Tenant: "bench", Symbols: intsOf(stream[i*64 : (i+1)*64]), Close: i == 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		body = append(append(body, line...), '\n')
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/push", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
 }
 
