@@ -42,21 +42,36 @@ func FuzzMinimalityShortcut(f *testing.F) {
 	})
 }
 
-// FuzzBuildCounts guards the sequence database against arbitrary streams:
-// counts must sum to the window total at every width.
+// FuzzBuildCounts holds the sequence database to the map-keyed reference
+// (db_reference_test.go) on arbitrary streams at widths 1–24, packed and
+// hashed tags alike: totals, every count, a few near misses, iteration
+// and the sorted selections must agree.
 func FuzzBuildCounts(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, uint8(2))
 	f.Add([]byte{}, uint8(1))
+	f.Add([]byte("abcdefghijabcdefghijabcdefghijk"), uint8(9))
 	f.Fuzz(func(t *testing.T, raw []byte, widthRaw uint8) {
-		width := int(widthRaw%16) + 1
-		db, err := Build(FromBytes(raw), width)
+		width := int(widthRaw%24) + 1
+		stream := FromBytes(raw)
+		db, err := Build(stream, width)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		sum := 0
-		db.Each(func(_ Stream, count int) { sum += count })
-		if sum != db.Total() || db.Total() != NumWindows(len(raw), width) {
-			t.Fatalf("counts %d, total %d, windows %d", sum, db.Total(), NumWindows(len(raw), width))
+		ref, err := refBuild(stream, width)
+		if err != nil {
+			t.Fatalf("refBuild: %v", err)
 		}
+		if db.Total() != NumWindows(len(raw), width) {
+			t.Fatalf("total %d, windows %d", db.Total(), NumWindows(len(raw), width))
+		}
+		// Extra probes, mostly absent: windows with their last byte bumped,
+		// near misses that share all but the last byte of a present tag.
+		var extra [][]byte
+		for i := 0; i+width <= len(raw) && len(extra) < 8; i += width {
+			b := append([]byte(nil), raw[i:i+width]...)
+			b[width-1]++
+			extra = append(extra, b)
+		}
+		refCheck(t, db, ref, extra)
 	})
 }

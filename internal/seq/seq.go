@@ -16,8 +16,11 @@
 package seq
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"adiv/internal/alphabet"
 )
@@ -77,18 +80,40 @@ func NumWindows(n, width int) int {
 // membership and frequency queries behind every detector and every
 // data-synthesis verification step.
 //
+// The windows live in one flat open-addressed table. A window of at most 8
+// symbols is its own 64-bit tag, its bytes packed little-endian, so a tag
+// match is an exact match and a probe compares no bytes; a longer window's
+// tag is a hash, and a tag match is confirmed against the window's bytes.
+// A window's home slot is the top bits of its tag times a Fibonacci
+// constant: the product's low bits depend only on the tag's low bits, the
+// window's first symbols, and would cluster the probes. Collisions probe
+// linearly. The table holds only training windows, so a hostile query can
+// only lengthen its own probe, and no per-process hash seed is needed.
+//
 // A DB is immutable after Build and safe for concurrent readers.
 type DB struct {
 	width int
 	total int
-	// counts stores an out-of-line counter per distinct window. The
-	// indirection is what makes Build allocate per *distinct* sequence
-	// rather than per window: incrementing through the pointer needs only
-	// an allocation-free map read (`m[string(b)]` compiles to a no-copy
-	// lookup), where a map[string]int would re-materialize the key string
-	// on every `m[string(b)]++`.
-	counts map[string]*int
+	// keys holds the distinct windows concatenated in first-seen order:
+	// entry e is keys[e*width:(e+1)*width] and occurs counts[e] times.
+	keys   string
+	counts []int
+	// slots is a power-of-two array, at most half full, of entry index + 1
+	// (0 marks an empty slot); tags[s] is the tag of slots[s]'s entry.
+	slots []int32
+	tags  []uint64
+	shift uint // 64 - log2(len(slots))
 }
+
+// minSlots is the slot count a table starts with; it doubles whenever more
+// than half the slots are taken. Training streams hold tens to a few
+// thousand distinct windows per width, so presizing for the window count
+// would mostly reserve memory no entry uses.
+const minSlots = 16
+
+// maxEntries bounds the distinct windows of one DB so that entry index + 1
+// fits an int32 slot in a table kept at most half full.
+const maxEntries = 1 << 30
 
 // Build slides a window of the given width across the stream and records
 // every window with its occurrence count. It returns an error for a
@@ -98,22 +123,101 @@ func Build(stream Stream, width int) (*DB, error) {
 		return nil, fmt.Errorf("seq: non-positive window width %d", width)
 	}
 	n := NumWindows(len(stream), width)
-	db := &DB{
-		width:  width,
-		total:  n,
-		counts: make(map[string]*int, min(n, 1<<16)),
-	}
+	db := &DB{width: width, total: n}
+	db.resize(minSlots)
 	b := stream.Bytes()
+	var keys []byte
 	for i := 0; i < n; i++ {
-		if p := db.counts[string(b[i:i+width])]; p != nil {
-			*p++
-		} else {
-			p = new(int)
-			*p = 1
-			db.counts[string(b[i:i+width])] = p
+		w := b[i : i+width]
+		tag := windowTag(w)
+		mask := len(db.slots) - 1
+		for s := db.home(tag); ; s = (s + 1) & mask {
+			e := int(db.slots[s])
+			if e == 0 {
+				if len(db.counts) == maxEntries {
+					return nil, fmt.Errorf("seq: more than %d distinct width-%d windows", maxEntries, width)
+				}
+				keys = append(keys, w...)
+				db.counts = append(db.counts, 1)
+				db.slots[s], db.tags[s] = int32(len(db.counts)), tag
+				if 2*len(db.counts) > len(db.slots) {
+					db.resize(2 * len(db.slots))
+				}
+				break
+			}
+			if db.tags[s] == tag && (width <= 8 || string(keys[(e-1)*width:e*width]) == string(w)) {
+				db.counts[e-1]++
+				break
+			}
 		}
 	}
+	db.keys = string(keys)
 	return db, nil
+}
+
+// resize rehashes every entry into a table of size slots, a power of two,
+// from the stored tags alone.
+func (db *DB) resize(size int) {
+	slots, tags := db.slots, db.tags
+	db.slots = make([]int32, size)
+	db.tags = make([]uint64, size)
+	db.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for i, e := range slots {
+		if e == 0 {
+			continue
+		}
+		s := db.home(tags[i])
+		for db.slots[s] != 0 {
+			s = (s + 1) & (size - 1)
+		}
+		db.slots[s], db.tags[s] = e, tags[i]
+	}
+}
+
+// home returns the slot a probe for tag starts at.
+func (db *DB) home(tag uint64) int {
+	return int(tag * 0x9E3779B97F4A7C15 >> db.shift)
+}
+
+// key returns the byte-encoded window of entry e.
+func (db *DB) key(e int) string {
+	return db.keys[e*db.width : (e+1)*db.width]
+}
+
+// windowTag returns w's tag: w itself, packed little-endian through
+// fixed-width loads, when it is at most 8 bytes long, and a 64-bit hash of
+// its 8-byte chunks otherwise.
+func windowTag(w []byte) uint64 {
+	le := binary.LittleEndian
+	switch len(w) {
+	case 1:
+		return uint64(w[0])
+	case 2:
+		return uint64(le.Uint16(w))
+	case 3:
+		return uint64(le.Uint16(w)) | uint64(w[2])<<16
+	case 4:
+		return uint64(le.Uint32(w))
+	case 5:
+		return uint64(le.Uint32(w)) | uint64(w[4])<<32
+	case 6:
+		return uint64(le.Uint32(w)) | uint64(le.Uint16(w[4:]))<<32
+	case 7:
+		return uint64(le.Uint32(w)) | uint64(le.Uint16(w[4:]))<<32 | uint64(w[6])<<48
+	case 8:
+		return le.Uint64(w)
+	}
+	// The last chunk is the final 8 bytes, overlapping the one before when
+	// the length is not a multiple of 8.
+	const m = 0xBF58476D1CE4E5B9
+	n := len(w)
+	h := uint64(n)
+	for i := 0; i+8 < n; i += 8 {
+		h = (h ^ le.Uint64(w[i:])) * m
+		h ^= h >> 31
+	}
+	h = (h ^ le.Uint64(w[n-8:])) * m
+	return h ^ h>>31
 }
 
 // Width returns the window width the database was built for.
@@ -132,17 +236,13 @@ func (db *DB) Count(w Stream) int {
 		return 0
 	}
 	// Encode into a stack buffer so the common widths (the evaluation grid
-	// tops out at 16) query without allocating; CountBytes documents the
-	// fully allocation-free path for callers that already hold bytes.
+	// tops out at 16) query without allocating.
 	var tmp [64]byte
 	if db.width <= len(tmp) {
 		for i, sym := range w {
 			tmp[i] = byte(sym)
 		}
-		if p := db.counts[string(tmp[:db.width])]; p != nil {
-			return *p
-		}
-		return 0
+		return db.CountBytes(tmp[:db.width])
 	}
 	return db.CountBytes(w.Bytes())
 }
@@ -156,10 +256,17 @@ func (db *DB) CountBytes(b []byte) int {
 	if len(b) != db.width {
 		return 0
 	}
-	if p := db.counts[string(b)]; p != nil {
-		return *p
+	tag := windowTag(b)
+	mask := len(db.slots) - 1
+	for s := db.home(tag); ; s = (s + 1) & mask {
+		e := int(db.slots[s])
+		if e == 0 {
+			return 0
+		}
+		if db.tags[s] == tag && (db.width <= 8 || db.key(e-1) == string(b)) {
+			return db.counts[e-1]
+		}
 	}
-	return 0
 }
 
 // Contains reports whether w occurs at least once.
@@ -211,56 +318,74 @@ func (db *DB) IsRareBytes(b []byte, cutoff float64) bool {
 	return c > 0 && float64(c) < cutoff*float64(db.total)
 }
 
-// Each calls fn for every distinct sequence with its count, in unspecified
-// order. fn must not retain the Stream beyond the call.
+// Each calls fn for every distinct sequence with its count, in the order
+// of each sequence's first occurrence in the stream. fn must not retain
+// the Stream beyond the call: Each reuses it for the next sequence.
 func (db *DB) Each(fn func(w Stream, count int)) {
-	for k, c := range db.counts {
-		fn(FromBytes([]byte(k)), *c)
+	w := make(Stream, db.width)
+	for e, c := range db.counts {
+		key := db.key(e)
+		for i := range w {
+			w[i] = alphabet.Symbol(key[i])
+		}
+		fn(w, c)
 	}
 }
 
-// EachKey calls fn for every distinct sequence with its count, in
-// unspecified order, passing the byte-encoded window as a string — the
-// allocation-free counterpart of Each for callers (e.g. the neural-network
-// trainer) that consume the encoded form directly.
+// EachKey calls fn for every distinct sequence with its count, in the
+// order of each sequence's first occurrence in the stream, passing the
+// byte-encoded window as a string: the allocation-free counterpart of Each
+// for callers (e.g. the neural-network trainer) that consume the encoded
+// form directly.
 func (db *DB) EachKey(fn func(key string, count int)) {
-	for k, c := range db.counts {
-		fn(k, *c)
+	for e, c := range db.counts {
+		fn(db.key(e), c)
 	}
 }
 
 // Rare returns all distinct sequences whose relative frequency is below
 // cutoff, sorted lexicographically for determinism.
 func (db *DB) Rare(cutoff float64) []Stream {
-	keys := make([]string, 0)
 	limit := cutoff * float64(db.total)
-	for k, c := range db.counts {
-		if float64(*c) < limit {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]Stream, len(keys))
-	for i, k := range keys {
-		out[i] = FromBytes([]byte(k))
-	}
-	return out
+	return db.sorted(func(count int) bool { return float64(count) < limit })
 }
 
 // Common returns all distinct sequences whose relative frequency is at least
 // cutoff, sorted lexicographically for determinism.
 func (db *DB) Common(cutoff float64) []Stream {
-	keys := make([]string, 0)
 	limit := cutoff * float64(db.total)
-	for k, c := range db.counts {
-		if float64(*c) >= limit {
-			keys = append(keys, k)
+	return db.sorted(func(count int) bool { return float64(count) >= limit })
+}
+
+// sorted returns the distinct sequences whose count keep accepts, in
+// lexicographic order. It sorts entry indices by their key bytes, so the
+// only allocations besides that index are the returned Streams, which
+// share one backing array; an empty result allocates nothing.
+func (db *DB) sorted(keep func(count int) bool) []Stream {
+	n := 0
+	for _, c := range db.counts {
+		if keep(c) {
+			n++
 		}
 	}
-	sort.Strings(keys)
-	out := make([]Stream, len(keys))
-	for i, k := range keys {
-		out[i] = FromBytes([]byte(k))
+	idx := make([]int32, 0, n)
+	for e, c := range db.counts {
+		if keep(c) {
+			idx = append(idx, int32(e))
+		}
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		return strings.Compare(db.key(int(a)), db.key(int(b)))
+	})
+	w := db.width
+	back := make(Stream, len(idx)*w)
+	out := make([]Stream, len(idx))
+	for i, e := range idx {
+		s, key := back[i*w:(i+1)*w:(i+1)*w], db.key(int(e))
+		for j := range s {
+			s[j] = alphabet.Symbol(key[j])
+		}
+		out[i] = s
 	}
 	return out
 }
