@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"adiv/internal/alphabet"
@@ -145,30 +146,37 @@ func DecodeFrame(b []byte, max int) (Frame, int, error) {
 // is returned as-is so callers can distinguish a clean close from a torn
 // frame (io.ErrUnexpectedEOF).
 func ReadFrame(r io.Reader, max int) (Frame, error) {
+	f, _, err := readFrame(r, max, nil)
+	return f, err
+}
+
+// readFrame is ReadFrame into buf, grown as needed and returned for the
+// next call. The returned Frame's Body aliases buf, so it is valid only
+// until buf is reused; Tenant is a copy.
+func readFrame(r io.Reader, max int, buf []byte) (Frame, []byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrameBytes
 	}
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return Frame{}, err
+	buf = slices.Grow(buf[:0], 4)[:4]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Frame{}, buf, err
 	}
-	payloadLen := int(binary.BigEndian.Uint32(prefix[:]))
+	payloadLen := int(binary.BigEndian.Uint32(buf))
 	if payloadLen < frameHeaderLen {
-		return Frame{}, fmt.Errorf("%w: payload length %d below header", ErrBadFrame, payloadLen)
+		return Frame{}, buf, fmt.Errorf("%w: payload length %d below header", ErrBadFrame, payloadLen)
 	}
 	if payloadLen > max {
-		return Frame{}, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrOversizedFrame, payloadLen, max)
+		return Frame{}, buf, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrOversizedFrame, payloadLen, max)
 	}
-	buf := make([]byte, 4+payloadLen)
-	copy(buf, prefix[:])
+	buf = slices.Grow(buf, payloadLen)[:4+payloadLen]
 	if _, err := io.ReadFull(r, buf[4:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return Frame{}, buf, err
 	}
 	f, _, err := DecodeFrame(buf, max)
-	return f, err
+	return f, buf, err
 }
 
 // AppendScoresBody appends the FrameScores payload: accepted and alarm

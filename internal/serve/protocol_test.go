@@ -57,6 +57,27 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := ReadFrame(r, 0); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
 	}
+	// And into one reused buffer: each Body is valid until the next read,
+	// and no Tenant aliases the buffer.
+	r = bytes.NewReader(wire)
+	var buf []byte
+	var tenants []string
+	for i, want := range frames {
+		var got Frame
+		var err error
+		if got, buf, err = readFrame(r, 0, buf); err != nil {
+			t.Fatalf("readFrame %d: %v", i, err)
+		}
+		if got.Type != want.Type || got.Tenant != want.Tenant || !bytes.Equal(got.Body, want.Body) {
+			t.Fatalf("readFrame %d: got %+v want %+v", i, got, want)
+		}
+		tenants = append(tenants, got.Tenant)
+	}
+	for i, want := range frames {
+		if tenants[i] != want.Tenant {
+			t.Fatalf("frame %d tenant %q changed to %q by later reads", i, want.Tenant, tenants[i])
+		}
+	}
 }
 
 func TestDecodeFrameRejects(t *testing.T) {

@@ -11,12 +11,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"adiv/internal/alphabet"
+	"adiv/internal/detector/stide"
 	"adiv/internal/seq"
 )
 
@@ -337,11 +340,20 @@ func (c *tcpClient) recv() Frame {
 
 func startTCP(t *testing.T, s *Server) *TCPServer {
 	t.Helper()
+	ts, _ := startCountingTCP(t, s)
+	return ts
+}
+
+// startCountingTCP serves s on a loopback listener whose connections count
+// the server's Write calls into the returned counter.
+func startCountingTCP(t testing.TB, s *Server) (*TCPServer, *atomic.Int64) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := NewTCPServer(s, ln)
+	writes := new(atomic.Int64)
+	ts := NewTCPServer(s, countingListener{ln, writes})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -351,7 +363,30 @@ func startTCP(t *testing.T, s *Server) *TCPServer {
 		}
 	}()
 	t.Cleanup(func() { ts.Shutdown(); wg.Wait() })
-	return ts
+	return ts, writes
+}
+
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{conn, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 func TestTCPPushEquivalence(t *testing.T) {
@@ -495,6 +530,367 @@ func TestTCPShutdownMidLoadLosesNothing(t *testing.T) {
 	if int64(total) > stats.Scored {
 		t.Fatalf("clients hold acks for %d events, server scored %d", total, stats.Scored)
 	}
+}
+
+// TestTCPPipelinedEquivalence pipelines many tenants over each connection,
+// so replies that become ready together leave in one server write: every
+// tenant's replies must still arrive in order and match batch Score bit for
+// bit, with its Closed reply last.
+func TestTCPPipelinedEquivalence(t *testing.T) {
+	g := testGen(t)
+	det := testStide(t, g)
+	const conns, perConn = 2, 8
+	streams := make([]seq.Stream, conns*perConn)
+	want := make([][]float64, len(streams))
+	for i := range streams {
+		streams[i] = g.Noisy(500+37*i, uint64(i+1))
+		var err error
+		if want[i], err = det.Score(streams[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := NewServer(Config{Shards: shards, QueueDepth: 4, NewTenant: tenantsOver(det, 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, writes := startCountingTCP(t, s)
+			var replies atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < conns; c++ {
+				wg.Add(1)
+				go func(lo int) {
+					defer wg.Done()
+					pipelineTenants(t, ts.Addr().String(), streams[lo:lo+perConn], want[lo:lo+perConn], lo, &replies)
+				}(c * perConn)
+			}
+			wg.Wait()
+			ts.Shutdown()
+			stats := s.Drain()
+			total := 0
+			for _, stream := range streams {
+				total += len(stream)
+			}
+			if stats.Accepted != int64(total) || stats.Scored != int64(total) {
+				t.Fatalf("accepted %d, scored %d, want %d", stats.Accepted, stats.Scored, total)
+			}
+			t.Logf("%d server writes for %d replies (%.3f writes/reply)",
+				writes.Load(), replies.Load(), float64(writes.Load())/float64(replies.Load()))
+		})
+	}
+}
+
+// pipelineTenants drives streams as tenants tenant-lo, tenant-lo+1, … over
+// one connection. A sender goroutine writes the next frame of any tenant
+// whose previous frame was answered, alternating Events and EventsQuiet and
+// ending with a Close, and resends a frame answered Busy; the reader checks
+// each reply against want in order. A tenant keeps one frame in flight, so
+// a Busy never reorders its stream, while the connection keeps one per
+// tenant in flight. It reports failures with t.Error.
+func pipelineTenants(t *testing.T, addr string, streams []seq.Stream, want [][]float64, lo int, replies *atomic.Int64) {
+	const batch = 61
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck // a hang fails the read below
+	tenantIdx := make(map[string]int, len(streams))
+	for j := range streams {
+		tenantIdx[fmt.Sprintf("tenant-%d", lo+j)] = j
+	}
+	// next[j] is tenant j's next event offset, or len(stream) once only its
+	// Close is left. The ready channel hands j between the goroutines, so
+	// next[j] is never accessed by both at once.
+	next := make([]int, len(streams))
+	ready := make(chan int, len(streams))
+	for j := range streams {
+		ready <- j
+	}
+	sendDone := make(chan struct{})
+	go func() {
+		defer close(sendDone)
+		var buf []byte
+		for j := range ready {
+			tenant := fmt.Sprintf("tenant-%d", lo+j)
+			off := next[j]
+			f := Frame{Type: FrameClose, Tenant: tenant}
+			if off < len(streams[j]) {
+				end := min(off+batch, len(streams[j]))
+				f = Frame{Type: FrameEvents, Tenant: tenant, Body: symbolBytes(streams[j][off:end])}
+				if (off/batch)%2 == 1 {
+					f.Type = FrameEventsQuiet
+				}
+			}
+			buf = AppendFrame(buf[:0], f)
+			if _, err := conn.Write(buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { <-sendDone }()
+
+	r := bufio.NewReader(conn)
+	got := make([][]float64, len(streams))
+	for open := len(streams); open > 0; {
+		f, err := ReadFrame(r, 0)
+		if err != nil {
+			t.Error(err)
+			close(ready)
+			return
+		}
+		replies.Add(1)
+		j, ok := tenantIdx[f.Tenant]
+		if !ok {
+			t.Errorf("reply for unknown tenant %q", f.Tenant)
+			close(ready)
+			return
+		}
+		stream, off := streams[j], next[j]
+		switch {
+		case f.Type == FrameBusy:
+		case f.Type == FrameScores && off < len(stream):
+			end := min(off+batch, len(stream))
+			accepted, _, responses, err := ParseScoresBody(f.Body)
+			if err != nil || accepted != end-off {
+				t.Errorf("%s at %d: accepted %d of %d (%v)", f.Tenant, off, accepted, end-off, err)
+				close(ready)
+				return
+			}
+			// The batch completes the windows ending in [off, end); lag is
+			// the extent minus one.
+			lag := len(stream) - len(want[j])
+			n := max(0, end-lag) - max(0, off-lag)
+			if (off/batch)%2 == 1 {
+				if len(responses) != 0 {
+					t.Errorf("%s at %d: quiet batch returned %d responses", f.Tenant, off, len(responses))
+				}
+				responses = want[j][len(got[j]) : len(got[j])+n]
+			} else if len(responses) != n {
+				t.Errorf("%s at %d: %d responses, want %d", f.Tenant, off, len(responses), n)
+				close(ready)
+				return
+			}
+			got[j] = append(got[j], responses...)
+			next[j] = end
+		case f.Type == FrameClosed && off == len(stream):
+			open--
+			continue // nothing more to send for tenant j
+		default:
+			t.Errorf("%s at %d of %d: unexpected frame type %d: %s", f.Tenant, off, len(stream), f.Type, f.Body)
+			close(ready)
+			return
+		}
+		ready <- j
+	}
+	close(ready)
+	for j := range got {
+		if len(got[j]) != len(want[j]) {
+			t.Errorf("tenant-%d: %d responses, want %d", lo+j, len(got[j]), len(want[j]))
+			continue
+		}
+		for i := range got[j] {
+			if math.Float64bits(got[j][i]) != math.Float64bits(want[j][i]) {
+				t.Errorf("tenant-%d response %d: served %v != serial %v", lo+j, i, got[j][i], want[j][i])
+				break
+			}
+		}
+	}
+}
+
+// TestTCPSlowReaderIsolated connects a client that pipelines frames and
+// never reads its replies. Its connection is dropped once its reply backlog
+// fills, while a tenant on the same shard, on another connection, keeps
+// getting correct replies; accepted batches are still all scored, and
+// Shutdown returns.
+func TestTCPSlowReaderIsolated(t *testing.T) {
+	g := testGen(t)
+	s := newTestServer(t, 2, 8, 0)
+	ts := startTCP(t, s)
+	stalled := tenantOnShard(t, s, 0)
+	flowing := ""
+	for i := 0; flowing == ""; i++ {
+		if id := fmt.Sprintf("flowing-%d", i); s.TenantShard(id) == s.TenantShard(stalled) {
+			flowing = id
+		}
+	}
+
+	sc, err := net.Dial("tcp", ts.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	// Full-size batches with responses: each reply is ~64 KiB, so the
+	// socket buffers and then the backlog fill within a few hundred frames.
+	big := AppendFrame(nil, Frame{Type: FrameEvents, Tenant: stalled, Body: symbolBytes(g.Noisy(8192, 11))})
+	stalledClosed := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := sc.Write(big); err != nil {
+				stalledClosed <- err
+				return
+			}
+		}
+	}()
+
+	stream := g.Noisy(700, 5)
+	want := batchResponses(t, g, stream)
+	c := dialTCP(t, ts.Addr().String())
+	// recv fails the test if the flowing tenant's shard stops answering.
+	recv := func() Frame {
+		t.Helper()
+		c.conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a failed set shows as a failed read
+		return c.recv()
+	}
+	// pass streams the flowing tenant once, then closes it.
+	pass := func() {
+		t.Helper()
+		var got []float64
+		for off := 0; off < len(stream); {
+			end := min(off+211, len(stream))
+			c.send(Frame{Type: FrameEvents, Tenant: flowing, Body: symbolBytes(stream[off:end])})
+			switch f := recv(); f.Type {
+			case FrameBusy:
+			case FrameScores:
+				_, _, responses, err := ParseScoresBody(f.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, responses...)
+				off = end
+			default:
+				t.Fatalf("frame type %d: %s", f.Type, f.Body)
+			}
+		}
+		for closed := false; !closed; {
+			c.send(Frame{Type: FrameClose, Tenant: flowing})
+			switch f := recv(); f.Type {
+			case FrameBusy:
+			case FrameClosed:
+				closed = true
+			default:
+				t.Fatalf("close ack type %d: %s", f.Type, f.Body)
+			}
+		}
+		sameBits(t, "flowing", got, want)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	var closeErr error
+	for passes := 1; closeErr == nil; passes++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled connection was never closed")
+		}
+		pass()
+		select {
+		case closeErr = <-stalledClosed:
+			t.Logf("stalled connection closed by flowing pass %d: %v", passes, closeErr)
+		default:
+		}
+	}
+
+	shutdown := make(chan struct{})
+	go func() {
+		ts.Shutdown()
+		close(shutdown)
+	}()
+	select {
+	case <-shutdown:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not return")
+	}
+	if stats := s.Drain(); stats.Accepted != stats.Scored {
+		t.Fatalf("accepted %d != scored %d", stats.Accepted, stats.Scored)
+	}
+}
+
+// BenchmarkTCPPush is the tcp-stide workload over loopback in one process:
+// stide DW 6, 16 tenants replaying 256-event quiet frames over 2
+// connections with 32 frames in flight each, GOMAXPROCS shards. One op is
+// one frame answered; writes/reply is the server's socket writes per reply.
+func BenchmarkTCPPush(b *testing.B) {
+	const conns, tenants, batch, depth = 2, 16, 256, 32
+	g := testGen(b)
+	sd, err := stide.New(6)
+	det := trainedOn(b, g, sd, err)
+	s, err := NewServer(Config{Shards: runtime.GOMAXPROCS(0), QueueDepth: 128, NewTenant: tenantsOver(det, 0)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Drain()
+	ts, writes := startCountingTCP(b, s)
+	// frames[i] is tenant i's stream cut into quiet frames, replayed in turn.
+	frames := make([][][]byte, tenants)
+	for i := range frames {
+		stream := g.Noisy(64*batch, uint64(i+1))
+		for off := 0; off < len(stream); off += batch {
+			frames[i] = append(frames[i], AppendFrame(nil, Frame{
+				Type: FrameEventsQuiet, Tenant: fmt.Sprintf("t%02d", i), Body: symbolBytes(stream[off : off+batch]),
+			}))
+		}
+	}
+	drive := func(c, ops int) error {
+		conn, err := net.Dial("tcp", ts.Addr().String())
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		r := bufio.NewReaderSize(conn, 64*1024)
+		var buf []byte
+		sent := 0
+		send := func() error {
+			i := c + conns*(sent%(tenants/conns))
+			frame := frames[i][(sent/(tenants/conns))%len(frames[i])]
+			sent++
+			_, err := conn.Write(frame)
+			return err
+		}
+		for sent < min(depth, ops) {
+			if err := send(); err != nil {
+				return err
+			}
+		}
+		for got := 0; got < ops; got++ {
+			var f Frame
+			if f, buf, err = readFrame(r, 0, buf); err != nil {
+				return err
+			}
+			if f.Type != FrameScores {
+				return fmt.Errorf("reply type %d: %s", f.Type, f.Body)
+			}
+			if sent < ops {
+				if err := send(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	w0 := writes.Load()
+	errs := make([]error, conns)
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ops := b.N / conns
+			if c < b.N%conns {
+				ops++
+			}
+			errs[c] = drive(c, ops)
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if err := errors.Join(errs...); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(writes.Load()-w0)/float64(b.N), "writes/reply")
 }
 
 func symbolBytes(stream seq.Stream) []byte {
