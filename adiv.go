@@ -32,10 +32,6 @@ type (
 	AnomalyReport = anomaly.Report
 	// Placement is an anomaly injected into background data.
 	Placement = inject.Placement
-	// WindowCursor iterates the overlapping fixed-width windows of a stream
-	// without per-window allocation; pair it with SequenceDB's byte-keyed
-	// lookups (CountBytes, ContainsBytes) for zero-allocation scoring loops.
-	WindowCursor = seq.Cursor
 )
 
 // Evaluation types.
@@ -142,11 +138,6 @@ func RareSensitiveEvalOptions() EvalOptions {
 func NeuralNetEvalOptions() EvalOptions {
 	return EvalOptions{CapableAt: 0.999, BlindBelow: 1e-3}
 }
-
-// NewWindowCursor returns a cursor over the width-length windows of s. The
-// stream is byte-encoded once; each Next yields an overlapping subslice of
-// that buffer, valid until the next Reset.
-func NewWindowCursor(s Stream, width int) *WindowCursor { return seq.NewCursor(s, width) }
 
 // NewGridScheduler returns a bounded pool running at most workers grid
 // tasks concurrently; workers < 1 means runtime.NumCPU.

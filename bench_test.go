@@ -335,7 +335,7 @@ func BenchmarkAblationNNEpochs(b *testing.B) {
 // path (a batch of one), and "batch" is the served shape, 256-symbol
 // PushBatch calls into a presized dst. Neither steady-state path may
 // allocate at all — the benchmark asserts the zero-alloc contract
-// outright, like BenchmarkWindowCursor.
+// outright.
 func BenchmarkStreamingScore(b *testing.B) {
 	corpus := benchCorpus(b)
 	det := trainedDetector(b, adiv.DetectorStide, 8)
@@ -738,42 +738,6 @@ func BenchmarkNNTrainKernel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkWindowCursor measures the zero-allocation window-scoring
-// primitive: a reused cursor walking every window of the test stream with a
-// keyed count lookup per step. The benchmark asserts the zero-alloc
-// contract outright — a regression fails the bench, not just a number.
-func BenchmarkWindowCursor(b *testing.B) {
-	corpus := benchCorpus(b)
-	stream := corpus.Placements[6].Stream
-	db := corpus.TrainingDBs()
-	grams, err := db.DB(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cur := adiv.NewWindowCursor(stream, 8)
-	walk := func() int {
-		cur.Reset(stream, 8)
-		hits := 0
-		for w, ok := cur.Next(); ok; w, ok = cur.Next() {
-			if grams.CountBytes(w) > 0 {
-				hits++
-			}
-		}
-		return hits
-	}
-	if allocs := testing.AllocsPerRun(10, func() { walk() }); allocs != 0 {
-		b.Fatalf("cursor walk allocates %v times per pass, want 0", allocs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if walk() == 0 {
-			b.Fatal("no window of the test stream appears in training")
-		}
-	}
-	b.SetBytes(int64(len(stream)))
 }
 
 // BenchmarkDetectorScoreObserved pins down the cost of the observability

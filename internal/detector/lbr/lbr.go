@@ -166,21 +166,32 @@ func (d *Detector) NewStream() (detector.Stream, error) {
 	return detector.NewWindowStream(d, d.normal != nil, d.window)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer, the Lane &
-// Brodley window kernel, with no allocation. A stored normal sequence is
-// the only window reaching similarity MaxSimilarity(DW), so a member of the
-// training DB scores 0 from one lookup; any other window scans the profile
-// for its best similarity, which is then always below the maximum.
-func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
+// AppendWindowScores implements detector.WindowScorer, the Lane & Brodley
+// batch kernel, with no allocation beyond dst. A stored normal sequence is
+// the only window reaching similarity MaxSimilarity(DW), so one rolling
+// pass of training-DB lookups scores every member 0; only the other
+// windows scan the profile for their best similarity, which is then always
+// below the maximum.
+func (d *Detector) AppendWindowScores(b []byte, dst []float64) ([]float64, error) {
 	if d.normal == nil {
-		return 0, detector.ErrNotTrained
+		return dst, detector.ErrNotTrained
 	}
-	if len(w) != d.window {
-		return 0, fmt.Errorf("lbr: window length %d, want %d", len(w), d.window)
+	base := len(dst)
+	dst = d.db.AppendCounts(b, dst)
+	out := dst[base:]
+	for i, c := range out {
+		if c > 0 {
+			out[i] = 0
+		} else {
+			out[i] = d.scan(b[i : i+d.window])
+		}
 	}
-	if d.db.ContainsBytes(w) {
-		return 0, nil
-	}
+	return dst, nil
+}
+
+// scan returns the response to a window absent from the profile:
+// 1 - maxSim/MaxSimilarity(DW) over the whole profile.
+func (d *Detector) scan(w []byte) float64 {
 	simMax := float64(MaxSimilarity(d.window))
 	best := 0
 	for _, normal := range d.normal {
@@ -188,5 +199,5 @@ func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
 			best = s
 		}
 	}
-	return 1 - float64(best)/simMax, nil
+	return 1 - float64(best)/simMax
 }

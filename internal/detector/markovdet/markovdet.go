@@ -123,36 +123,23 @@ func (d *Detector) Prob(g seq.Stream) (float64, error) {
 	if len(g) != d.window+1 {
 		return 0, fmt.Errorf("markovdet: gram length %d, want %d", len(g), d.window+1)
 	}
-	ctxCount := d.contexts.Count(g[:d.window])
-	if d.lambda == 0 {
-		if ctxCount == 0 {
-			return 0, nil
-		}
-		return float64(d.grams.Count(g)) / float64(ctxCount), nil
-	}
-	denom := float64(ctxCount) + d.lambda*float64(d.k)
-	if denom == 0 {
-		return 0, nil
-	}
-	return (float64(d.grams.Count(g)) + d.lambda) / denom, nil
+	return d.prob(float64(d.contexts.Count(g[:d.window])), float64(d.grams.Count(g))), nil
 }
 
-// probBytes is Prob for a byte-encoded, length-checked (window+1)-gram: the
-// allocation-free estimate the window kernel computes on overlapping
-// subslices of the encoded test stream.
-func (d *Detector) probBytes(gram []byte) float64 {
-	ctxCount := d.contexts.CountBytes(gram[:d.window])
+// prob is the estimate of P(next | context) from the counts of the context
+// and of the gram.
+func (d *Detector) prob(ctxCount, gramCount float64) float64 {
 	if d.lambda == 0 {
 		if ctxCount == 0 {
 			return 0
 		}
-		return float64(d.grams.CountBytes(gram)) / float64(ctxCount)
+		return gramCount / ctxCount
 	}
-	denom := float64(ctxCount) + d.lambda*float64(d.k)
+	denom := ctxCount + d.lambda*float64(d.k)
 	if denom == 0 {
 		return 0
 	}
-	return (float64(d.grams.CountBytes(gram)) + d.lambda) / denom
+	return (gramCount + d.lambda) / denom
 }
 
 // Score implements detector.Detector: responses[i] = 1 - P(test[i+DW] |
@@ -167,14 +154,25 @@ func (d *Detector) NewStream() (detector.Stream, error) {
 	return detector.NewWindowStream(d, d.contexts != nil, d.window+1)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer, the Markov
-// detector's window kernel: two counted lookups and no allocation.
-func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
+// AppendWindowScores implements detector.WindowScorer, the Markov
+// detector's batch kernel: for a chunk of windows at a time, one rolling
+// pass over each database counts every window's context and gram, and the
+// responses follow from the two counts, with no allocation beyond dst.
+func (d *Detector) AppendWindowScores(b []byte, dst []float64) ([]float64, error) {
 	if d.contexts == nil {
-		return 0, detector.ErrNotTrained
+		return dst, detector.ErrNotTrained
 	}
-	if len(w) != d.window+1 {
-		return 0, fmt.Errorf("markovdet: gram length %d, want %d", len(w), d.window+1)
+	var chunk [256]float64 // gram counts of the chunk's windows
+	for len(b) > d.window {
+		n := min(len(b)-d.window, len(chunk))
+		base := len(dst)
+		dst = d.contexts.AppendCounts(b[:n+d.window-1], dst)
+		grams := d.grams.AppendCounts(b[:n+d.window], chunk[:0])
+		out := dst[base:]
+		for i, ctx := range out {
+			out[i] = 1 - d.prob(ctx, grams[i])
+		}
+		b = b[n:]
 	}
-	return 1 - d.probBytes(w), nil
+	return dst, nil
 }

@@ -292,11 +292,15 @@ func (k *kernel) prob(gram []byte) float64 {
 	return k.probs[gram[window]]
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer: one forward pass
-// and no allocation.
-func (k *kernel) ScoreWindowBytes(w []byte) (float64, error) {
-	if len(w) != k.net.window+1 {
-		return 0, fmt.Errorf("nnet: gram length %d, want %d", len(w), k.net.window+1)
+// AppendWindowScores implements detector.WindowScorer: one forward pass
+// per window and no allocation beyond dst.
+func (k *kernel) AppendWindowScores(b []byte, dst []float64) ([]float64, error) {
+	if k == nil {
+		return dst, detector.ErrNotTrained
 	}
-	return 1 - k.prob(w), nil
+	extent := k.net.window + 1
+	for i := 0; i+extent <= len(b); i++ {
+		dst = append(dst, 1-k.prob(b[i:i+extent]))
+	}
+	return dst, nil
 }

@@ -90,17 +90,22 @@ func (d *Detector) NewStream() (detector.Stream, error) {
 	return detector.NewWindowStream(d, d.normal != nil, d.window)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer, Stide's window
-// kernel: one hash lookup and no allocation.
-func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
+// AppendWindowScores implements detector.WindowScorer, Stide's batch
+// kernel: one rolling pass of table lookups, then 1 for every window the
+// normal database lacks and 0 for every member.
+func (d *Detector) AppendWindowScores(b []byte, dst []float64) ([]float64, error) {
 	if d.normal == nil {
-		return 0, detector.ErrNotTrained
+		return dst, detector.ErrNotTrained
 	}
-	if len(w) != d.window {
-		return 0, fmt.Errorf("stide: window length %d, want %d", len(w), d.window)
+	base := len(dst)
+	dst = d.normal.AppendCounts(b, dst)
+	out := dst[base:]
+	for i, c := range out {
+		if c == 0 {
+			out[i] = 1
+		} else {
+			out[i] = 0
+		}
 	}
-	if !d.normal.ContainsBytes(w) {
-		return 1, nil
-	}
-	return 0, nil
+	return dst, nil
 }

@@ -95,21 +95,24 @@ func (d *Detector) NewStream() (detector.Stream, error) {
 	return detector.NewWindowStream(d, d.normal != nil, d.window)
 }
 
-// ScoreWindowBytes implements detector.WindowByteScorer, t-stide's window
-// kernel. The foreign and rare predicates fold into one counted lookup:
-// foreign means count 0, rare means a positive count below the cutoff
-// fraction of training windows.
-func (d *Detector) ScoreWindowBytes(w []byte) (float64, error) {
+// AppendWindowScores implements detector.WindowScorer, t-stide's batch
+// kernel. The foreign and rare predicates fold into one counted lookup per
+// window, from one rolling pass: foreign means count 0, rare means a
+// positive count below the cutoff fraction of training windows.
+func (d *Detector) AppendWindowScores(b []byte, dst []float64) ([]float64, error) {
 	if d.normal == nil {
-		return 0, detector.ErrNotTrained
-	}
-	if len(w) != d.window {
-		return 0, fmt.Errorf("tstide: window length %d, want %d", len(w), d.window)
+		return dst, detector.ErrNotTrained
 	}
 	limit := d.cutoff * float64(d.normal.Total())
-	c := d.normal.CountBytes(w)
-	if c == 0 || float64(c) < limit {
-		return 1, nil
+	base := len(dst)
+	dst = d.normal.AppendCounts(b, dst)
+	out := dst[base:]
+	for i, c := range out {
+		if c == 0 || c < limit {
+			out[i] = 1
+		} else {
+			out[i] = 0
+		}
 	}
-	return 0, nil
+	return dst, nil
 }

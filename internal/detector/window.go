@@ -1,34 +1,45 @@
 package detector
 
 import (
-	"slices"
+	"fmt"
 
 	"adiv/internal/alphabet"
 	"adiv/internal/seq"
 )
 
-// WindowByteScorer is the scoring primitive of the window families: score
-// exactly one extent-length window, presented as its byte encoding
-// (seq.Stream.AppendBytes layout). Batch scoring (ScoreWindows) and
-// streaming (NewWindowStream) both call it, so the two agree by
-// construction.
+// WindowScorer is the scoring primitive of the window families, a batch
+// kernel: AppendWindowScores appends to dst the response to every
+// extent-length window of the byte-encoded buffer b (seq.Stream.Bytes
+// layout), in order, and returns the extended slice. A buffer shorter than
+// the extent holds no window and appends nothing. Batch scoring
+// (ScoreWindows) and streaming (NewWindowStream) both call it once per
+// buffer, so the two agree by construction.
 //
-// Contract: ScoreWindowBytes returns ErrNotTrained before training and an
-// error for a window of the wrong length. Implementations must not retain
-// w and must not allocate in the success path; the online scorer's
-// steady-state zero-allocation guarantee is built on both properties.
+// Contract: AppendWindowScores returns ErrNotTrained, with dst unchanged,
+// before training. It must not retain b, must not modify the trained model
+// (one model serves any number of streams), and must not allocate beyond
+// growing dst; the online scorer's steady-state zero-allocation guarantee
+// is built on these properties.
+type WindowScorer interface {
+	AppendWindowScores(b []byte, dst []float64) ([]float64, error)
+}
+
+// WindowByteScorer scores exactly one extent-length window, presented as
+// its byte encoding: the per-window view AsWindowByteScorer returns.
 type WindowByteScorer interface {
 	ScoreWindowBytes(w []byte) (float64, error)
 }
 
-// AsWindowByteScorer returns d's window kernel if d is itself one,
-// unwrapping instrumentation layers (anything exposing Unwrap() Detector)
-// until a kernel or a bare detector is reached. Callers that unwrap this
-// way bypass the wrapper's per-Score telemetry by design.
+// AsWindowByteScorer returns a one-window scorer over d's batch kernel if d
+// is itself one, unwrapping instrumentation layers (anything exposing
+// Unwrap() Detector) until a kernel or a bare detector is reached. Callers
+// that unwrap this way bypass the wrapper's per-Score telemetry by design.
+// The returned scorer holds its own scratch and is not safe for concurrent
+// use.
 func AsWindowByteScorer(d Detector) (WindowByteScorer, bool) {
 	for d != nil {
-		if ws, ok := d.(WindowByteScorer); ok {
-			return ws, true
+		if k, ok := d.(WindowScorer); ok {
+			return &oneWindow{k: k, extent: d.Extent()}, true
 		}
 		u, ok := d.(interface{ Unwrap() Detector })
 		if !ok {
@@ -39,44 +50,40 @@ func AsWindowByteScorer(d Detector) (WindowByteScorer, bool) {
 	return nil, false
 }
 
+// oneWindow adapts a batch kernel to single windows.
+type oneWindow struct {
+	k      WindowScorer
+	extent int
+	dst    [1]float64
+}
+
+func (a *oneWindow) ScoreWindowBytes(w []byte) (float64, error) {
+	if len(w) != a.extent {
+		return 0, fmt.Errorf("detector: window length %d, want %d", len(w), a.extent)
+	}
+	out, err := a.k.AppendWindowScores(w, a.dst[:0])
+	if err != nil {
+		return 0, err
+	}
+	return out[0], nil
+}
+
 // ScoreWindows is the batch Score of every window family: the test stream
-// is encoded once and the kernel scores each window as an overlapping
-// subslice, so the loop allocates nothing per window.
-func ScoreWindows(k WindowByteScorer, trained bool, extent int, test seq.Stream) ([]float64, error) {
+// is encoded once and the kernel scores it in one call.
+func ScoreWindows(k WindowScorer, trained bool, extent int, test seq.Stream) ([]float64, error) {
 	if err := CheckScorable(trained, extent, test); err != nil {
 		return nil, err
 	}
-	out, err := scoreWindows(k, extent, test.Bytes(), make([]float64, 0, seq.NumWindows(len(test), extent)))
+	out, err := k.AppendWindowScores(test.Bytes(), make([]float64, 0, seq.NumWindows(len(test), extent)))
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// scoreWindows is the window families' one scoring loop, shared by batch
-// Score and the window stream: it appends the kernel's response to every
-// extent-length window of b, in order.
-func scoreWindows(k WindowByteScorer, extent int, b []byte, dst []float64) ([]float64, error) {
-	m := len(b) - extent + 1
-	if m <= 0 {
-		return dst, nil
-	}
-	base := len(dst)
-	dst = slices.Grow(dst, m)[:base+m]
-	out := dst[base:]
-	for i := range out {
-		r, err := k.ScoreWindowBytes(b[i : i+extent])
-		if err != nil {
-			return dst[:base+i], err
-		}
-		out[i] = r
-	}
-	return dst, nil
-}
-
 // NewWindowStream is the NewStream of every window family: a byte buffer
 // over the kernel.
-func NewWindowStream(k WindowByteScorer, trained bool, extent int) (Stream, error) {
+func NewWindowStream(k WindowScorer, trained bool, extent int) (Stream, error) {
 	if !trained {
 		return nil, ErrNotTrained
 	}
@@ -85,12 +92,11 @@ func NewWindowStream(k WindowByteScorer, trained bool, extent int) (Stream, erro
 
 // windowStream keeps the stream's tail, its last min(seen, extent-1)
 // symbols, at the front of buf. A push encodes the batch right after the
-// tail and scores [tail|batch] with ScoreWindows' loop, so every window it
-// completes is one contiguous subslice; then the new tail moves to the
-// front. buf grows to the largest batch pushed plus the tail and is reused
-// from then on.
+// tail and hands [tail|batch] to the kernel in one call, so every window it
+// completes is scored; then the new tail moves to the front. buf grows to
+// the largest batch pushed plus the tail and is reused from then on.
 type windowStream struct {
-	k      WindowByteScorer
+	k      WindowScorer
 	extent int
 	buf    []byte
 	tail   int // symbols held at the front of buf
@@ -102,10 +108,11 @@ func (s *windowStream) Push(syms []alphabet.Symbol, dst []float64) ([]float64, e
 		s.buf = append(s.buf[:s.tail], make([]byte, len(syms))...)
 	}
 	b := s.buf[:n]
+	enc := b[s.tail:][:len(syms)]
 	for i, sym := range syms {
-		b[s.tail+i] = byte(sym)
+		enc[i] = byte(sym)
 	}
-	dst, err := scoreWindows(s.k, s.extent, b, dst)
+	dst, err := s.k.AppendWindowScores(b, dst)
 	if err != nil {
 		return dst, err
 	}

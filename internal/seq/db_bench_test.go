@@ -13,8 +13,10 @@ import (
 // data: Build over the one-million-symbol gen.DefaultConfig() stream, and
 // CountBytes of windows that occur (hit) and of windows that do not
 // (miss), at the stide/L&B width 6 (a packed tag) and at 16 (a hashed
-// tag). A lookup is one CountBytes call; the lookup cases assert the
-// zero-allocation contract the score loops depend on.
+// tag). A lookup is one CountBytes call; "batch" is one AppendCounts call
+// over the hit and miss probes laid end to end, reported per window. The
+// lookup and batch cases assert the zero-allocation contract the score
+// loops depend on.
 func BenchmarkSeqDB(b *testing.B) {
 	g, err := gen.New(gen.DefaultConfig())
 	if err != nil {
@@ -78,5 +80,18 @@ func BenchmarkSeqDB(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("batch/w=%d", width), func(b *testing.B) {
+			buf := append(append([]byte(nil), hits...), misses...)
+			dst := make([]float64, 0, len(buf))
+			batch := func() { dst = db.AppendCounts(buf, dst[:0]) }
+			if allocs := testing.AllocsPerRun(10, batch); allocs != 0 {
+				b.Fatalf("AppendCounts allocates %v times per call, want 0", allocs)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				batch()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/window")
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package seq
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // FuzzMinimalityShortcut cross-checks the two-subsequence minimality
 // shortcut against the exhaustive definition on fuzzer-chosen streams and
@@ -45,7 +48,8 @@ func FuzzMinimalityShortcut(f *testing.F) {
 // FuzzBuildCounts holds the sequence database to the map-keyed reference
 // (db_reference_test.go) on arbitrary streams at widths 1–24, packed and
 // hashed tags alike: totals, every count, a few near misses, iteration
-// and the sorted selections must agree.
+// and the sorted selections must agree, and the batch lookup must count
+// every window of the stream and of the near misses as CountBytes does.
 func FuzzBuildCounts(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 3}, uint8(2))
 	f.Add([]byte{}, uint8(1))
@@ -73,5 +77,7 @@ func FuzzBuildCounts(f *testing.F) {
 			extra = append(extra, b)
 		}
 		refCheck(t, db, ref, extra)
+		batchCheck(t, db, raw)
+		batchCheck(t, db, slices.Concat(extra...))
 	})
 }

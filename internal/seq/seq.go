@@ -46,17 +46,6 @@ func (s Stream) Bytes() []byte {
 	return b
 }
 
-// AppendBytes appends the stream's byte encoding to dst and returns the
-// extended slice — the allocation-free counterpart of Bytes for callers that
-// own a scratch buffer (score loops, window cursors) and re-encode many
-// streams without garbage.
-func (s Stream) AppendBytes(dst []byte) []byte {
-	for _, sym := range s {
-		dst = append(dst, byte(sym))
-	}
-	return dst
-}
-
 // FromBytes converts a byte-encoded window back to a Stream.
 func FromBytes(b []byte) Stream {
 	s := make(Stream, len(b))
@@ -248,9 +237,7 @@ func (db *DB) Count(w Stream) int {
 }
 
 // CountBytes returns the number of occurrences of the byte-encoded window b
-// (as produced by Stream.Bytes, Stream.AppendBytes, or a Cursor). It never
-// allocates: the hot score loops of the window detectors slice one encoded
-// test stream and query every window through here. Sequences of the wrong
+// (as produced by Stream.Bytes), without allocating. Sequences of the wrong
 // length count zero.
 func (db *DB) CountBytes(b []byte) int {
 	if len(b) != db.width {
@@ -267,6 +254,52 @@ func (db *DB) CountBytes(b []byte) int {
 			return db.counts[e-1]
 		}
 	}
+}
+
+// AppendCounts appends to dst the count of every width-length window of
+// the byte-encoded buffer b, in order, each as a float64: the batch form of
+// CountBytes behind the window detectors' score loops, allocation-free
+// beyond growing dst. A window of at most 8 symbols is its own tag, so the
+// tag rolls across b, one byte shifted out and one in per window, and
+// probes the table inline; a longer window goes through CountBytes.
+func (db *DB) AppendCounts(b []byte, dst []float64) []float64 {
+	w := db.width
+	m := NumWindows(len(b), w)
+	if m == 0 {
+		return dst
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, m)[:base+m]
+	out := dst[base:]
+	if w > 8 {
+		for i := range out {
+			out[i] = float64(db.CountBytes(b[i : i+w]))
+		}
+		return dst
+	}
+	// Each step shifts the previous window's first byte out of the tag and
+	// the new window's last byte in at bit offset in. The first tag starts
+	// one byte up, so the first step rolls it onto window 0: the byte it
+	// shifts in is the one the top shifted out (w = 8), or already there.
+	in := uint(8 * (w - 1))
+	tag := windowTag(b[:w]) << 8
+	slots, tags, counts, mask := db.slots, db.tags, db.counts, len(db.slots)-1
+	for i, last := range b[w-1:][:len(out)] {
+		tag = tag>>8 | uint64(last)<<in
+		c := 0
+		for s := db.home(tag); ; s = (s + 1) & mask {
+			e := int(slots[s])
+			if e == 0 {
+				break
+			}
+			if tags[s] == tag {
+				c = counts[e-1]
+				break
+			}
+		}
+		out[i] = float64(c)
+	}
+	return dst
 }
 
 // Contains reports whether w occurs at least once.

@@ -222,3 +222,96 @@ func TestEveryWindowContained(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func testStream(n int) Stream {
+	s := make(Stream, n)
+	for i := range s {
+		s[i] = alphabet.Symbol((i*7 + i/3) % 8)
+	}
+	return s
+}
+
+// TestByteLookupsNoAlloc pins the allocation-free contract of the keyed
+// byte lookups and of the batch lookup into a presized dst, which the
+// detector score paths depend on.
+func TestByteLookupsNoAlloc(t *testing.T) {
+	s := testStream(5000)
+	db, err := Build(s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := s.Bytes()
+	dst := make([]float64, 0, len(b))
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i+8 <= len(b); i++ {
+			w := b[i : i+8]
+			if db.CountBytes(w) == 0 {
+				t.Fatal("training window reported absent")
+			}
+			_ = db.IsRareBytes(w, 0.005)
+			_ = db.IsForeignBytes(w)
+			_ = db.RelFreqBytes(w)
+		}
+		dst = db.AppendCounts(b, dst[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("byte lookups allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestCountNoAlloc pins the stack-buffer fast path of the Stream-typed
+// Count for grid-sized widths.
+func TestCountNoAlloc(t *testing.T) {
+	s := testStream(5000)
+	db, err := Build(s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s[17:25]
+	allocs := testing.AllocsPerRun(100, func() {
+		if db.Count(w) == 0 {
+			t.Fatal("training window reported absent")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Count allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+func TestByteLookupsMatchStreamLookups(t *testing.T) {
+	s := testStream(3000)
+	db, err := Build(s, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := s.Bytes()
+	for i := 0; i+5 <= len(enc); i++ {
+		b := enc[i : i+5]
+		w := s[i : i+5]
+		if db.CountBytes(b) != db.Count(w) {
+			t.Fatalf("window %d: CountBytes %d != Count %d", i, db.CountBytes(b), db.Count(w))
+		}
+		if db.ContainsBytes(b) != db.Contains(w) {
+			t.Fatalf("window %d: ContainsBytes mismatch", i)
+		}
+		if db.IsForeignBytes(b) != db.IsForeign(w) {
+			t.Fatalf("window %d: IsForeignBytes mismatch", i)
+		}
+		if db.IsRareBytes(b, 0.005) != db.IsRare(w, 0.005) {
+			t.Fatalf("window %d: IsRareBytes mismatch", i)
+		}
+		if db.RelFreqBytes(b) != db.RelFreq(w) {
+			t.Fatalf("window %d: RelFreqBytes mismatch", i)
+		}
+	}
+	// Wrong-length and absent keys.
+	if db.CountBytes([]byte{0, 1}) != 0 {
+		t.Fatal("wrong-length key counted")
+	}
+	if db.CountBytes([]byte{9, 9, 9, 9, 9}) != 0 {
+		t.Fatal("absent key counted")
+	}
+	if db.IsForeignBytes([]byte{0, 1}) {
+		t.Fatal("wrong-length key reported foreign")
+	}
+}

@@ -46,7 +46,10 @@ type Config struct {
 // submitter's callback from the shard worker.
 type Result struct {
 	// Responses holds the window responses that became ready during the
-	// batch (nil in quiet submissions and alarm-only pipelines).
+	// batch, nil only for alarm-only pipelines. Submit has no quiet mode:
+	// the tenant scores every batch into a fresh slice, and a quiet
+	// request (HTTP "quiet", TCP EventsQuiet) is honoured by the transport,
+	// which drops the responses instead of encoding them.
 	Responses []float64
 	// Alarms counts alarms (or escalations) the batch raised.
 	Alarms int
