@@ -2,6 +2,7 @@ package lbr
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,30 @@ func TestScoreAgainstMostSimilar(t *testing.T) {
 	}
 	if responses[0] != 0 {
 		t.Errorf("normal window response = %v, want 0", responses[0])
+	}
+}
+
+// TestMembersSkipProfileScan pins the batch kernel's member shortcut: a
+// window the training DB holds scores 0 from the lookup alone, and only
+// the other windows scan the profile. With the profile emptied behind the
+// kernel's back, a scan can only answer 1, so a member scoring anything
+// but 0 was scanned.
+func TestMembersSkipProfileScan(t *testing.T) {
+	d, err := New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Train(mk(1, 2, 3, 1, 2, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	d.normal = [][]byte{}
+	// Windows 123, 231, 312 are members; 124 is not.
+	responses, err := d.Score(mk(1, 2, 3, 1, 2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0, 0, 0, 1}; !slices.Equal(responses, want) {
+		t.Errorf("responses = %v, want %v", responses, want)
 	}
 }
 

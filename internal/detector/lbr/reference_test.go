@@ -1,13 +1,13 @@
 package lbr
 
 // This file retains the full-profile scan verbatim as a test-only reference
-// for the exact-member lookup in ScoreWindowBytes: refScore is the kernel
+// for the exact-member lookup in AppendWindowScores: refScore is the kernel
 // as it was before the lookup (every window scans the whole profile, with
 // an early break at the maximum), driven by the batch loop. The property
 // test asserts that Score and a NewStream fold equal it bit for bit on
 // random profiles and windows: members, one-edge-mismatch near-members,
-// fully foreign windows, and a training stream too short for one window, after both Train and
-// TrainCorpus.
+// fully foreign windows, and a training stream too short for one window,
+// after both Train and TrainCorpus.
 
 import (
 	"fmt"
