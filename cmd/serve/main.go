@@ -16,8 +16,8 @@
 // -tcp listener speaks the compact length-prefixed framing in
 // internal/serve for load-generator throughput. The detector (and the veto
 // detector, if any) is trained once at startup; a tenant is per-stream
-// state over it, created on first contact and recycled through a free list
-// when the tenant closes.
+// state over it, created on first contact by its shard's worker and recycled
+// through that shard's free list when the tenant closes.
 //
 // Backpressure is explicit: a tenant whose shard queue is full receives
 // HTTP 429 or a Busy frame immediately — the daemon never buffers

@@ -1,13 +1,43 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestShardOfMatchesFNV holds ShardOf's written-out hash to hash/fnv's
+// FNV-1a over the key, a 0xff terminator and the little-endian coordinates,
+// the recipe that fixes every cell's and every served tenant's shard, and
+// checks that a call allocates nothing.
+func TestShardOfMatchesFNV(t *testing.T) {
+	for _, key := range []string{"", "stide", "nn[epochs=25,lr=0.1]", "probe-17", "tenant-\xff\x00"} {
+		for _, window := range []int{0, 2, 15, 1 << 20} {
+			for _, size := range []int{0, 2, 9} {
+				h := fnv.New32a()
+				h.Write([]byte(key))
+				var buf [9]byte
+				buf[0] = 0xff
+				binary.LittleEndian.PutUint32(buf[1:5], uint32(window))
+				binary.LittleEndian.PutUint32(buf[5:9], uint32(size))
+				h.Write(buf[:])
+				for count := 2; count <= 9; count++ {
+					if got, want := ShardOf(key, window, size, count), int(h.Sum32()%uint32(count)); got != want {
+						t.Fatalf("ShardOf(%q, %d, %d, %d) = %d, FNV-1a says %d", key, window, size, count, got, want)
+					}
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ShardOf("tenant-42", 0, 0, 8) }); n != 0 {
+		t.Fatalf("ShardOf allocates %v times per call", n)
+	}
+}
 
 func TestShardOfPartition(t *testing.T) {
 	const count = 3

@@ -11,8 +11,6 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"strings"
 )
 
@@ -34,16 +32,23 @@ func ShardOf(key string, window, size, count int) int {
 	if count < 2 {
 		return 0
 	}
-	h := fnv.New32a()
-	io.WriteString(h, key) //nolint:errcheck // fnv never errors
+	// 32-bit FNV-1a, written out so that a call allocates nothing: the
+	// serve tier hashes a tenant id on every submission.
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * prime32
+	}
 	var buf [9]byte
 	// A terminator between the key and the coordinates keeps ("a", 12, 3)
 	// and ("a1", 2, 3) from ever colliding byte-wise.
 	buf[0] = 0xff
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(window))
 	binary.LittleEndian.PutUint32(buf[5:9], uint32(size))
-	h.Write(buf[:])
-	return int(h.Sum32() % uint32(count))
+	for _, c := range buf {
+		h = (h ^ uint32(c)) * prime32
+	}
+	return int(h % uint32(count))
 }
 
 // ShardQualifier renders the Extra qualifier pinning shard index (1-based)

@@ -17,8 +17,8 @@ const maxRequestLine = 1 << 20
 // stops the batch, and the status code reports the first failure: 400 for a
 // malformed line, 429 when the tenant's shard is saturated (the processed
 // prefix is still returned, so the client resumes from the rejected line),
-// 500 for a scoring error or a response JSON cannot carry (NaN, ±Inf), 503
-// while draining.
+// 500 for a scoring or NewTenant error or a response JSON cannot carry (NaN,
+// ±Inf), 503 while draining.
 //
 // The codec does no reflection per symbol or per response. ParsePushRequest
 // leaves the request object (keys, escapes, duplicate and unknown fields) to

@@ -15,7 +15,7 @@ var (
 )
 
 // router runs one worker goroutine per shard, each consuming a bounded queue
-// of closures. A tenant is pinned to one shard, so all of a tenant's work
+// of tasks. A tenant is pinned to one shard, so all of a tenant's work
 // executes serially in submission order — which is what lets a recycled,
 // concurrency-unsafe Scorer serve it without locks.
 type router struct {
@@ -23,29 +23,22 @@ type router struct {
 	// enqueueing, close holds it exclusively while flipping draining, so a
 	// queue is never closed with a send in flight.
 	mu       sync.RWMutex
-	queues   []chan func()
+	queues   []chan task
 	draining bool
-	closed   bool
 	wg       sync.WaitGroup
 }
 
-func newRouter(shards, depth int) *router {
-	if shards < 1 {
-		shards = 1
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	r := &router{queues: make([]chan func(), shards)}
+// newRouter starts work(i, q) on its own goroutine for each shard i; work
+// returns once close has closed q and it has run every task left in q.
+func newRouter(shards, depth int, work func(shard int, q <-chan task)) *router {
+	r := &router{queues: make([]chan task, shards)}
 	for i := range r.queues {
-		q := make(chan func(), depth)
+		q := make(chan task, depth)
 		r.queues[i] = q
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			for task := range q {
-				task()
-			}
+			work(i, q)
 		}()
 	}
 	return r
@@ -53,41 +46,36 @@ func newRouter(shards, depth int) *router {
 
 func (r *router) shards() int { return len(r.queues) }
 
-// submit enqueues task on shard without blocking: a full queue returns
+// submit enqueues t on shard without blocking: a full queue returns
 // ErrBusy immediately rather than stalling the caller (and with it, every
 // other tenant on the same connection).
-func (r *router) submit(shard int, task func()) error {
+func (r *router) submit(shard int, t task) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.draining {
 		return ErrDraining
 	}
 	select {
-	case r.queues[shard] <- task:
+	case r.queues[shard] <- t:
 		return nil
 	default:
 		return ErrBusy
 	}
 }
 
-// depth reports a shard's current queue occupancy (telemetry only).
-func (r *router) depth(shard int) int { return len(r.queues[shard]) }
-
 // close stops intake, then drains: every task accepted before close runs to
-// completion before close returns. Idempotent.
+// completion, and every worker returns, before any call of close returns.
+// Idempotent.
 func (r *router) close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.draining = true
-	r.closed = true
-	r.mu.Unlock()
-	// No submit can be past the draining check now (the Lock above barriers
+	// No submit can be past the draining check now (the Lock barriers
 	// against in-flight RLock holders), so closing is safe.
-	for _, q := range r.queues {
-		close(q)
+	if !r.draining {
+		r.draining = true
+		for _, q := range r.queues {
+			close(q)
+		}
 	}
+	r.mu.Unlock()
 	r.wg.Wait()
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,8 +13,8 @@ import (
 
 // Config assembles a Server. NewTenant is the only required field: it builds
 // one TenantScorer, per-stream state over trained models that every tenant
-// shares read-only. A closed tenant's scorer is Reset and kept on a free
-// list for the next new tenant.
+// shares read-only. A closed tenant's scorer is Reset and kept on its shard's
+// free list for the shard's next new tenant.
 type Config struct {
 	// Shards is the worker count; tenants hash onto shards and all of a
 	// tenant's batches execute serially on its shard. Default 1.
@@ -34,8 +33,11 @@ type Config struct {
 	// domain error. Default alphabet.MaxSize.
 	AlphabetSize int
 	// NewTenant builds a per-tenant scorer over shared trained models
-	// (required). It runs under the server's tenant-table lock, so it
-	// should allocate state, not train.
+	// (required). It runs on the new tenant's shard worker when that shard's
+	// free list is empty, so it may run concurrently on different shards and
+	// must be safe for that; and since the shard's other tenants wait while
+	// it runs, it should allocate state, not train. Its error becomes the
+	// batch's Result.Err.
 	NewTenant func() (TenantScorer, error)
 	// Registry receives serve/* telemetry and the online/* watchdog pulse;
 	// nil disables instrumentation.
@@ -53,9 +55,11 @@ type Result struct {
 	Responses []float64
 	// Alarms counts alarms (or escalations) the batch raised.
 	Alarms int
-	// Closed reports that the tenant's scorer was retired to the free list.
+	// Closed reports that the batch closed the tenant: a later Submit for
+	// its id begins a fresh stream.
 	Closed bool
-	// Err is a scoring error; the batch may have partially applied.
+	// Err is a scoring error, after which the batch may have partially
+	// applied, or a NewTenant error, after which no tenant was opened.
 	Err error
 }
 
@@ -65,12 +69,7 @@ type Server struct {
 	cfg    Config
 	router *router
 
-	mu      sync.Mutex
-	tenants map[string]*tenantState
-	free    []TenantScorer // Reset scorers of closed tenants, reused LIFO
-
 	draining atomic.Bool
-	ended    sync.Once // Drain ends the open tenants' streams once
 
 	// acceptedN / scoredN back the drain invariant (accepted == scored
 	// after Drain) independently of the optional registry.
@@ -78,6 +77,7 @@ type Server struct {
 	scoredN   atomic.Int64
 	alarmsN   atomic.Int64
 	busyN     atomic.Int64
+	tenantsN  atomic.Int64 // open tenants, summed over the shards
 
 	mAccepted *obs.Counter
 	mScored   *obs.Counter
@@ -90,10 +90,13 @@ type Server struct {
 	tracer    *obs.Tracer
 }
 
-type tenantState struct {
-	id    string
-	shard int
-	sc    TenantScorer
+// task is one accepted batch on its way to the tenant's shard worker.
+type task struct {
+	id         string
+	syms       []alphabet.Symbol
+	closeAfter bool
+	start      time.Time
+	done       func(Result)
 }
 
 // NewServer validates cfg and starts the shard workers.
@@ -116,11 +119,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.AlphabetSize < 1 || cfg.AlphabetSize > alphabet.MaxSize {
 		cfg.AlphabetSize = alphabet.MaxSize
 	}
-	s := &Server{
-		cfg:     cfg,
-		router:  newRouter(cfg.Shards, cfg.QueueDepth),
-		tenants: make(map[string]*tenantState),
-	}
+	s := &Server{cfg: cfg}
 	if reg := cfg.Registry; reg != nil {
 		s.mAccepted = reg.Counter("serve/accepted")
 		s.mScored = reg.Counter("serve/scored")
@@ -132,6 +131,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.mLatency = reg.Sketch("serve/ingest_latency")
 		s.tracer = reg.Tracer()
 	}
+	s.router = newRouter(cfg.Shards, cfg.QueueDepth, s.work)
 	return s, nil
 }
 
@@ -150,9 +150,10 @@ func (s *Server) TenantShard(id string) int {
 
 // Submit routes one batch for tenant id. On acceptance (nil return) the
 // batch WILL be scored — even through a drain — and done is invoked exactly
-// once from the tenant's shard worker with the outcome. A non-nil return
-// means nothing was accepted and done will not be called: ErrBusy (shard
-// queue full — retry), ErrDraining, or a validation or NewTenant error.
+// once from the tenant's shard worker with the outcome, a NewTenant error
+// included. A non-nil return means nothing was accepted and done will not be
+// called: ErrBusy (shard queue full — retry), ErrDraining, or a validation
+// error.
 //
 // closeAfter retires the tenant after the batch: its scorer is Reset and
 // recycled, and a later Submit for the same id begins a fresh stream.
@@ -174,112 +175,91 @@ func (s *Server) Submit(id string, syms []alphabet.Symbol, closeAfter bool, done
 			return fmt.Errorf("serve: symbol %d at offset %d outside alphabet of %d", sym, i, s.cfg.AlphabetSize)
 		}
 	}
-
-	st, fresh, err := s.lookup(id, closeAfter)
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	n := len(syms)
-	task := func() {
-		var span *obs.TraceSpan
-		if s.tracer != nil {
-			span = s.tracer.Start("serve/batch", "serve")
-			span.SetLane(st.shard)
-			span.SetAttr("tenant", st.id)
-			span.SetAttrInt("events", n)
-		}
-		responses, alarms, serr := st.sc.PushBatch(syms)
-		s.scoredN.Add(int64(n))
-		s.alarmsN.Add(int64(alarms))
-		if closeAfter {
-			s.recycle(st.sc)
-		}
-		s.mScored.Add(int64(n))
-		s.mSymbols.Add(int64(n))
-		if alarms > 0 {
-			s.mAlarms.Add(int64(alarms))
-			s.mWdAlarms.Add(int64(alarms))
-		}
-		// One sketch observation per batch, not per event: the sketch is
-		// mutex-guarded and a per-event observe would serialize the shards.
-		s.mLatency.Observe(time.Since(start).Seconds())
-		span.End()
-		done(Result{Responses: responses, Alarms: alarms, Closed: closeAfter, Err: serr})
-	}
-	if err := s.router.submit(st.shard, task); err != nil {
-		s.submitFailed(st, fresh, closeAfter)
+	t := task{id: id, syms: syms, closeAfter: closeAfter, start: time.Now(), done: done}
+	if err := s.router.submit(s.TenantShard(id), t); err != nil {
 		if errors.Is(err, ErrBusy) {
 			s.busyN.Add(1)
 			s.mBusy.Inc()
 		}
 		return err
 	}
-	s.acceptedN.Add(int64(n))
-	s.mAccepted.Add(int64(n))
+	s.acceptedN.Add(int64(len(syms)))
+	s.mAccepted.Add(int64(len(syms)))
 	return nil
 }
 
-// lookup finds or creates the tenant's state. When closeAfter is set the
-// state is removed from the map here, at submission time: any later Submit
-// for the same id creates a fresh stream, and because both route to the same
-// shard queue, the close batch always scores before the fresh one.
-func (s *Server) lookup(id string, closeAfter bool) (st *tenantState, fresh bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st = s.tenants[id]
-	if st == nil {
-		var sc TenantScorer
-		if n := len(s.free); n > 0 {
-			sc = s.free[n-1]
-			s.free[n-1] = nil
-			s.free = s.free[:n-1]
-		} else if sc, err = s.cfg.NewTenant(); err != nil {
-			return nil, false, fmt.Errorf("serve: tenant %q: %w", id, err)
+// work is the worker of one shard. It alone reads and writes the shard's tenant table
+// and free list, so neither needs a lock, and a rejected enqueue leaves
+// nothing to undo. A closed tenant's scorer is Reset before it joins the free
+// list, so no scorer there carries a previous tenant's stream state. Once
+// Drain closes q, work ends the stream of every tenant still open through
+// Reset, as a close would.
+func (s *Server) work(shard int, q <-chan task) {
+	tenants := make(map[string]TenantScorer)
+	var free []TenantScorer // reused LIFO
+	for t := range q {
+		var span *obs.TraceSpan
+		if s.tracer != nil {
+			span = s.tracer.Start("serve/batch", "serve")
+			span.SetLane(shard)
+			span.SetAttr("tenant", t.id)
+			span.SetAttrInt("events", len(t.syms))
 		}
-		sc.SetTenant(id)
-		st = &tenantState{id: id, shard: s.TenantShard(id), sc: sc}
-		fresh = true
-		if !closeAfter {
-			s.tenants[id] = st
+		var res Result
+		sc, open := tenants[t.id]
+		if !open {
+			if n := len(free); n > 0 {
+				sc, free = free[n-1], free[:n-1]
+			} else if sc, res.Err = s.cfg.NewTenant(); res.Err != nil {
+				res.Err = fmt.Errorf("serve: tenant %q: %w", t.id, res.Err)
+			}
+			if open = res.Err == nil; open {
+				sc.SetTenant(t.id)
+				tenants[t.id] = sc
+				s.addTenants(1)
+			}
 		}
-		s.mTenants.Set(float64(len(s.tenants)))
-		return st, fresh, nil
+		if open {
+			res.Responses, res.Alarms, res.Err = sc.PushBatch(t.syms)
+			if t.closeAfter {
+				delete(tenants, t.id)
+				sc.Reset()
+				free = append(free, sc)
+				s.addTenants(-1)
+			}
+		}
+		res.Closed = t.closeAfter
+		n := int64(len(t.syms))
+		s.scoredN.Add(n)
+		s.alarmsN.Add(int64(res.Alarms))
+		s.mScored.Add(n)
+		s.mSymbols.Add(n)
+		if res.Alarms > 0 {
+			s.mAlarms.Add(int64(res.Alarms))
+			s.mWdAlarms.Add(int64(res.Alarms))
+		}
+		// One sketch observation per batch, not per event: the sketch is
+		// mutex-guarded and a per-event observe would serialize the shards.
+		s.mLatency.Observe(time.Since(t.start).Seconds())
+		span.End()
+		t.done(res)
 	}
-	if closeAfter {
-		delete(s.tenants, id)
-		s.mTenants.Set(float64(len(s.tenants)))
+	for _, sc := range tenants {
+		sc.Reset()
 	}
-	return st, false, nil
 }
 
-// recycle resets a closed tenant's scorer and returns it to the free list.
-// Resetting here rather than on reuse means a scorer never sits on the list
-// carrying a previous tenant's stream state.
-func (s *Server) recycle(sc TenantScorer) {
-	sc.Reset()
-	s.mu.Lock()
-	s.free = append(s.free, sc)
-	s.mu.Unlock()
-}
-
-// submitFailed undoes lookup's map mutation after a rejected enqueue, so a
-// busy shard does not leak the tenant's scorer or strand its stream state.
-func (s *Server) submitFailed(st *tenantState, fresh, closeAfter bool) {
-	s.mu.Lock()
-	if fresh {
-		delete(s.tenants, st.id) // no-op when closeAfter kept it out
-	} else if closeAfter {
-		if _, exists := s.tenants[st.id]; !exists {
-			s.tenants[st.id] = st
+// addTenants moves the open-tenant count by d and publishes it. Workers on
+// different shards race to set the gauge, so each sets it again until the
+// count it set is still current: the last Set leaves the gauge at the count.
+func (s *Server) addTenants(d int64) {
+	for n := s.tenantsN.Add(d); ; {
+		s.mTenants.Set(float64(n))
+		m := s.tenantsN.Load()
+		if m == n {
+			return
 		}
-	}
-	s.mTenants.Set(float64(len(s.tenants)))
-	s.mu.Unlock()
-	if fresh {
-		// Nothing was scored; recycle immediately.
-		s.recycle(st.sc)
+		n = m
 	}
 }
 
@@ -294,15 +274,12 @@ type Stats struct {
 
 // Stats reports accepted/scored/alarm/busy totals and the live tenant count.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	tenants := len(s.tenants)
-	s.mu.Unlock()
 	return Stats{
 		Accepted: s.acceptedN.Load(),
 		Scored:   s.scoredN.Load(),
 		Alarms:   s.alarmsN.Load(),
 		Busy:     s.busyN.Load(),
-		Tenants:  tenants,
+		Tenants:  int(s.tenantsN.Load()),
 	}
 }
 
@@ -310,21 +287,15 @@ func (s *Server) Stats() Stats {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops intake and flushes every accepted batch: after it returns,
-// accepted == scored and all shard workers have exited. It then ends every
-// still-open tenant's stream through Reset, as a close would, so a veto
-// pipeline resolves its unanswered candidates as suppressed rather than
-// leaving them pending in the journal. Transports must stop feeding Submit
-// first (they get ErrDraining regardless). Idempotent — concurrent callers
-// all block until the flush completes.
+// accepted == scored and all shard workers have exited. Each worker's last
+// act ends its still-open tenants' streams through Reset, as a close would,
+// so a veto pipeline resolves its unanswered candidates as suppressed rather
+// than leaving them pending in the journal; those tenants still count in
+// Stats.Tenants. Transports must stop feeding Submit first (they get
+// ErrDraining regardless). Idempotent — concurrent callers all block until
+// the flush completes.
 func (s *Server) Drain() Stats {
 	s.draining.Store(true)
 	s.router.close()
-	s.ended.Do(func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, st := range s.tenants {
-			st.sc.Reset()
-		}
-	})
 	return s.Stats()
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -488,14 +489,22 @@ func TestSharedModelsAcrossShards(t *testing.T) {
 // tenantOnShard finds a tenant id hashing to the given shard.
 func tenantOnShard(t testing.TB, s *Server, shard int) string {
 	t.Helper()
-	for i := 0; i < 10_000; i++ {
-		id := fmt.Sprintf("probe-%d", i)
-		if s.TenantShard(id) == shard {
-			return id
+	return tenantsOnShard(t, s, shard, 1)[0]
+}
+
+// tenantsOnShard finds n distinct tenant ids hashing to the given shard.
+func tenantsOnShard(t testing.TB, s *Server, shard, n int) []string {
+	t.Helper()
+	var ids []string
+	for i := 0; i < 10_000 && len(ids) < n; i++ {
+		if id := fmt.Sprintf("probe-%d", i); s.TenantShard(id) == shard {
+			ids = append(ids, id)
 		}
 	}
-	t.Fatalf("no tenant id found for shard %d", shard)
-	return ""
+	if len(ids) < n {
+		t.Fatalf("found %d of %d tenant ids for shard %d", len(ids), n, shard)
+	}
+	return ids
 }
 
 // TestBackpressureStalledShard pins one shard's worker and shows the
@@ -624,6 +633,28 @@ func TestDrainZeroLoss(t *testing.T) {
 	}
 }
 
+// TestConcurrentDrainsWaitForFlush: every Drain, the second of two
+// concurrent ones included, returns only after the accepted batches are
+// scored.
+func TestConcurrentDrainsWaitForFlush(t *testing.T) {
+	const depth = 2
+	s := newTestServer(t, 2, depth, 0)
+	release := stallShard(t, s, tenantOnShard(t, s, 0), depth)
+	stats := make(chan Stats, 2)
+	for range 2 {
+		go func() { stats <- s.Drain() }()
+	}
+	// Let both calls reach the flush; a call that starts after the release
+	// only weakens the test.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	for range 2 {
+		if st := <-stats; st.Accepted != st.Scored {
+			t.Fatalf("Drain returned with accepted %d != scored %d", st.Accepted, st.Scored)
+		}
+	}
+}
+
 // TestCloseRecyclesScorer checks the free-list path end to end: closing a tenant
 // returns its scorer, and a re-opened tenant starts a fresh stream rather
 // than resuming the old window.
@@ -658,31 +689,158 @@ func TestCloseRecyclesScorer(t *testing.T) {
 	}
 }
 
+// TestTenantLifecycle drives the shard-owned tenant tables at every shard
+// count, and once with every tenant on one shard. Each tenant's close batch
+// and its next session go in back to back, with no wait on a done, and each
+// session must still score as a stream of its own. A brand-new tenant
+// refused as busy must leave no tenant and no factory call behind. After
+// Drain, accepted == scored and the tenants still open are counted.
+func TestTenantLifecycle(t *testing.T) {
+	g := testGen(t)
+	det := testStide(t, g)
+	const tenants, depth = 6, 2
+	sessions := make([][2]seq.Stream, tenants)
+	events := 0
+	for i := range sessions {
+		sessions[i] = [2]seq.Stream{g.Noisy(400, uint64(2*i)), g.Noisy(250, uint64(2*i+1))}
+		events += len(sessions[i][0]) + len(sessions[i][1])
+	}
+	for _, tc := range []struct {
+		shards   int
+		oneShard bool
+	}{{1, false}, {2, false}, {8, false}, {8, true}} {
+		t.Run(fmt.Sprintf("shards=%d/oneShard=%v", tc.shards, tc.oneShard), func(t *testing.T) {
+			var created atomic.Int64
+			newTenant := tenantsOver(det, 0)
+			s, err := NewServer(Config{Shards: tc.shards, QueueDepth: depth, NewTenant: func() (TenantScorer, error) {
+				created.Add(1)
+				return newTenant()
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]string, tenants)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("life-%d", i)
+			}
+			if tc.oneShard {
+				ids = tenantsOnShard(t, s, 0, tenants)
+			}
+
+			// got[i][k] is only appended to by tenant i's shard worker and
+			// read after Drain has joined the workers.
+			got := make([][2][]float64, tenants)
+			var wg, pending sync.WaitGroup
+			for i, id := range ids {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for k, stream := range sessions[i] {
+						for off := 0; off < len(stream); off += raggedBatch {
+							end := min(off+raggedBatch, len(stream))
+							closeAfter := k == 0 && end == len(stream)
+							for {
+								pending.Add(1)
+								err := s.Submit(id, stream[off:end], closeAfter, func(res Result) {
+									defer pending.Done()
+									if res.Err != nil || res.Closed != closeAfter {
+										t.Errorf("tenant %s session %d: err %v closed %v", id, k, res.Err, res.Closed)
+									}
+									got[i][k] = append(got[i][k], res.Responses...)
+								})
+								if err == nil {
+									break
+								}
+								pending.Done()
+								if !errors.Is(err, ErrBusy) {
+									t.Errorf("Submit(%s): %v", id, err)
+									return
+								}
+								runtime.Gosched()
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			pending.Wait() // so that no other shard moves the counts below
+
+			// Stall the shard of a still-open tenant; a brand-new tenant
+			// on that shard is refused and must leave nothing behind.
+			release := stallShard(t, s, ids[0], depth)
+			var newcomer string
+			for _, id := range tenantsOnShard(t, s, s.TenantShard(ids[0]), tenants+1) {
+				if !slices.Contains(ids, id) {
+					newcomer = id
+					break
+				}
+			}
+			before, calls := s.Stats().Tenants, created.Load()
+			if err := s.Submit(newcomer, []alphabet.Symbol{1}, false, func(Result) {}); !errors.Is(err, ErrBusy) {
+				t.Fatalf("new tenant on a full shard: %v, want ErrBusy", err)
+			}
+			if after := s.Stats().Tenants; after != before {
+				t.Fatalf("busy rejection moved Tenants %d -> %d", before, after)
+			}
+			if n := created.Load(); n != calls {
+				t.Fatalf("busy rejection called NewTenant %d times", n-calls)
+			}
+			close(release)
+
+			stats := s.Drain()
+			if stats.Accepted != stats.Scored {
+				t.Fatalf("drain: accepted %d != scored %d", stats.Accepted, stats.Scored)
+			}
+			stalled := int64(4 * (1 + depth)) // stallShard's stall and fill batches
+			if stats.Accepted != int64(events)+stalled {
+				t.Fatalf("accepted %d, want %d", stats.Accepted, int64(events)+stalled)
+			}
+			if stats.Tenants != tenants {
+				t.Fatalf("Tenants = %d after drain, want the %d open second sessions", stats.Tenants, tenants)
+			}
+			for i := range ids {
+				for k, stream := range sessions[i] {
+					want, err := det.Score(stream)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, fmt.Sprintf("tenant %d session %d", i, k), got[i][k], want)
+				}
+			}
+		})
+	}
+}
+
 // TestRecycledTenantIsClean: a closed tenant's scorer is reused for the
 // next new tenant, carrying nothing of the previous stream — Seen, the
 // response ring, and the responses themselves match a fresh scorer.
 func TestRecycledTenantIsClean(t *testing.T) {
 	g := testGen(t)
 	det := testStide(t, g)
+	var mu sync.Mutex
 	var created []*online.Scorer
 	s, err := NewServer(Config{Shards: 2, NewTenant: func() (TenantScorer, error) {
 		sc, err := online.NewScorer(det)
 		if err != nil {
 			return nil, err
 		}
-		created = append(created, sc) // NewTenant runs under the server lock
+		mu.Lock()
+		created = append(created, sc)
+		mu.Unlock()
 		return ScorerTenant{S: sc}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := submitWait(t, s, "first", g.Noisy(300, 1), true); res.Err != nil || !res.Closed {
+	// Free lists are per shard, so both tenants go to one shard.
+	ids := tenantsOnShard(t, s, 1, 2)
+	if res := submitWait(t, s, ids[0], g.Noisy(300, 1), true); res.Err != nil || !res.Closed {
 		t.Fatalf("first tenant: err %v closed %v", res.Err, res.Closed)
 	}
 	// A short second stream leaves the ring partly filled, where a stale
 	// ring would be most visible.
 	second := g.Noisy(20, 2)
-	res := submitWait(t, s, "second", second, false)
+	res := submitWait(t, s, ids[1], second, false)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -690,6 +848,8 @@ func TestRecycledTenantIsClean(t *testing.T) {
 	// submitWait has already seen the batch's callback, so the read is
 	// ordered after the worker's push.
 	defer s.Drain()
+	mu.Lock()
+	defer mu.Unlock()
 	if len(created) != 1 {
 		t.Fatalf("NewTenant called %d times, want 1 (the closed scorer recycled)", len(created))
 	}
@@ -705,20 +865,39 @@ func TestRecycledTenantIsClean(t *testing.T) {
 	sameBits(t, "recycled ring", sc.Recent(nil), want)
 }
 
-// TestNewTenantErrorPropagates: a failing NewTenant rejects the submission
-// with its error, and nothing is accepted.
+// TestNewTenantErrorPropagates: a failing NewTenant fails the batch, not the
+// submission. The batch is accepted and counts as scored, its Result.Err
+// carries the factory's error, no tenant is left open, and the next Submit
+// for the same id calls the factory again.
 func TestNewTenantErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	s, err := NewServer(Config{NewTenant: func() (TenantScorer, error) { return nil, boom }})
+	var calls atomic.Int64
+	det := testStide(t, testGen(t))
+	s, err := NewServer(Config{NewTenant: func() (TenantScorer, error) {
+		if calls.Add(1) == 1 {
+			return nil, boom
+		}
+		return tenantsOver(det, 0)()
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Drain()
-	if err := s.Submit("t", []alphabet.Symbol{1}, false, func(Result) {}); !errors.Is(err, boom) {
-		t.Fatalf("Submit error = %v, want %v", err, boom)
+	res := submitWait(t, s, "t", []alphabet.Symbol{1}, false)
+	if !errors.Is(res.Err, boom) || res.Responses != nil {
+		t.Fatalf("result %+v, want Err %v and no responses", res, boom)
 	}
-	if st := s.Stats(); st.Accepted != 0 || st.Tenants != 0 {
+	if st := s.Stats(); st.Accepted != 1 || st.Scored != 1 || st.Tenants != 0 {
 		t.Fatalf("failed tenant left stats %+v", st)
+	}
+	if res := submitWait(t, s, "t", []alphabet.Symbol{1, 2}, false); res.Err != nil {
+		t.Fatalf("retry: %v", res.Err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("NewTenant called %d times, want 2 (the failed open left nothing to reuse)", n)
+	}
+	if st := s.Stats(); st.Accepted != 3 || st.Scored != 3 || st.Tenants != 1 {
+		t.Fatalf("after retry stats %+v", st)
 	}
 }
 

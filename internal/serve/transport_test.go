@@ -154,7 +154,8 @@ func TestHTTPPushPartialFailure(t *testing.T) {
 	cases := []struct {
 		name     string
 		body     string
-		stall    bool // occupy shard 0's worker and fill its queue first
+		stall    bool  // occupy shard 0's worker and fill its queue first
+		newFails int64 // the NewTenant call that fails, counted from 1; 0 for none
 		status   int
 		want     []PushResponse // Error: a substring the line's error must hold
 		accepted int64          // events the body got accepted
@@ -201,6 +202,19 @@ func TestHTTPPushPartialFailure(t *testing.T) {
 			accepted: 3,
 		},
 		{
+			name: "NewTenant error on the second line",
+			body: `{"tenant":"%[1]s","symbols":[1]}
+{"tenant":"%[2]s","symbols":[2,3]}
+{"tenant":"%[1]s","symbols":[4]}`,
+			newFails: 2,
+			status:   http.StatusInternalServerError,
+			want: []PushResponse{
+				{Tenant: "%[1]s", Accepted: 1, Responses: []float64{1}},
+				{Tenant: "%[2]s", Accepted: 2, Error: "stub: no tenant"},
+			},
+			accepted: 3,
+		},
+		{
 			name: "non-finite response on the second line",
 			body: `{"tenant":"%[2]s","symbols":[1]}
 {"tenant":"%[2]s","symbols":[2,7],"close":true}
@@ -216,10 +230,16 @@ func TestHTTPPushPartialFailure(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			const depth = 1
+			var calls atomic.Int64
 			s, err := NewServer(Config{
 				Shards:     2,
 				QueueDepth: depth,
-				NewTenant:  func() (TenantScorer, error) { return stubTenant{}, nil },
+				NewTenant: func() (TenantScorer, error) {
+					if calls.Add(1) == tc.newFails {
+						return nil, errors.New("stub: no tenant")
+					}
+					return stubTenant{}, nil
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -456,6 +476,38 @@ func TestTCPRejectsForeignTraffic(t *testing.T) {
 	// The server must then drop the connection.
 	if _, err := ReadFrame(c.r, 0); err == nil {
 		t.Fatal("connection stayed open after protocol error")
+	}
+}
+
+// TestTCPNewTenantErrorKeepsConnection: a tenant whose NewTenant fails gets
+// an Error frame, and the connection stays open for its other tenants.
+func TestTCPNewTenantErrorKeepsConnection(t *testing.T) {
+	var failing atomic.Bool
+	failing.Store(true)
+	s, err := NewServer(Config{NewTenant: func() (TenantScorer, error) {
+		if failing.Load() {
+			return nil, errors.New("stub: no tenant")
+		}
+		return stubTenant{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	c := dialTCP(t, startTCP(t, s).Addr().String())
+
+	c.send(Frame{Type: FrameEvents, Tenant: "bad", Body: []byte{1, 2}})
+	if f := c.recv(); f.Type != FrameError || f.Tenant != "bad" || !strings.Contains(string(f.Body), "stub: no tenant") {
+		t.Fatalf("failed open: frame type %d tenant %q body %q, want an Error frame for bad", f.Type, f.Tenant, f.Body)
+	}
+	failing.Store(false)
+	c.send(Frame{Type: FrameEvents, Tenant: "good", Body: []byte{3}})
+	f := c.recv()
+	if f.Type != FrameScores || f.Tenant != "good" {
+		t.Fatalf("after a failed open: frame type %d tenant %q body %q, want Scores for good", f.Type, f.Tenant, f.Body)
+	}
+	if accepted, _, responses, err := ParseScoresBody(f.Body); err != nil || accepted != 1 || !reflect.DeepEqual(responses, []float64{3}) {
+		t.Fatalf("good: accepted %d responses %v err %v", accepted, responses, err)
 	}
 }
 
